@@ -6,7 +6,10 @@
 //! * flow arrivals are routed and handed to the source host's agent;
 //! * packets are moved hop by hop across links, experiencing serialization,
 //!   propagation, per-hop processing delay, FIFO tail-drop queueing and (optionally)
-//!   random loss;
+//!   random loss. Every link is a FIFO and its controller runs before enqueue, so a
+//!   packet's departure time `max(now, busy_until) + tx` is fixed when the link
+//!   accepts it: the engine schedules the next-hop arrival right then, and one event
+//!   per hop suffices (see *Link departures* below);
 //! * switch egress links may run a [`LinkController`] that inspects and rewrites the
 //!   scheduling header of forward packets and of the ACKs passing back through the
 //!   owning switch (this is how PDQ, RCP and D3 are implemented);
@@ -39,6 +42,21 @@
 //! flight between nodes are parked in a recycled pool so the event queue carries a
 //! `u32` slot instead of a ~200-byte payload.
 //!
+//! # Link departures
+//!
+//! A link keeps no packets, only a ring of `(depart, tx, wire)` entries: the packet
+//! itself is parked at enqueue under a `PacketAtNode` event at
+//! `depart + prop + processing`, created at `depart`. The ring is what
+//! [`Link::queue_bytes`](crate::Link::queue_bytes) and the [`LinkStats`]
+//! transmission counters are computed from. Entries are retired lazily — before a
+//! controller call, before the tail-drop check, at a trace sample and at the end of
+//! the run — and an entry retires exactly when its *virtual* transmit completion,
+//! keyed `(depart, depart − tx, TRANSMIT_RANK)`, sorts before the event being
+//! dispatched (`EventPos`). That is the position a queued completion event held,
+//! so controllers, traces and counters observe the same values at the same instants.
+//!
+//! [`LinkStats`]: crate::LinkStats
+//!
 //! # Timer cancellation
 //!
 //! Each flow carries a generation counter; timer events snapshot it when scheduled and
@@ -58,7 +76,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::agent::{Action, Ctx, FlowInfo, FlowLookup, HostAgent};
 use crate::controller::LinkController;
-use crate::event::{EventKind, EventQueue, PacketSlot, TimerKind};
+use crate::event::{EventKind, EventPos, EventQueue, PacketSlot, TimerKind};
 use crate::flow::{FlowPath, FlowRecord, FlowSpec};
 use crate::ids::{FlowId, LinkId, NodeId};
 use crate::metrics::{Sample, SimResults, TraceConfig, Traces};
@@ -237,9 +255,10 @@ impl FlowLookup for FlowTable {
     }
 }
 
-/// Recycled storage for packets in flight between nodes (popped from a link's queue,
-/// waiting out propagation + processing). Slots are reused in LIFO order, so in steady
-/// state parking and retrieving a packet performs no heap allocation.
+/// Recycled storage for packets in flight between nodes (accepted by a link, waiting
+/// out queueing, serialization, propagation and processing). Slots are reused in LIFO
+/// order, so in steady state parking and retrieving a packet performs no heap
+/// allocation.
 #[derive(Default)]
 pub(crate) struct PacketPool {
     slots: Vec<Option<Packet>>,
@@ -282,6 +301,9 @@ pub(crate) struct EngineCore {
     pub(crate) controllers: Vec<Option<Box<dyn LinkController + Send>>>,
     pub(crate) events: EventQueue,
     pub(crate) now: SimTime,
+    /// Position of the event being dispatched (at the end of a run: how far it got).
+    /// Link departures whose completion sorts before it have left their link.
+    pub(crate) pos: EventPos,
     pub(crate) rng: SmallRng,
     pub(crate) flows: FlowTable,
     pub(crate) pool: PacketPool,
@@ -338,6 +360,7 @@ impl EngineCore {
             controllers: (0..n_links).map(|_| None).collect(),
             events: EventQueue::with_bucket_width(bucket),
             now: SimTime::ZERO,
+            pos: EventPos::start_of(SimTime::ZERO),
             rng,
             flows: FlowTable::default(),
             pool: PacketPool::default(),
@@ -382,12 +405,14 @@ impl EngineCore {
         self.shard_of.is_empty() || self.shard_of[node.index()] == self.shard
     }
 
-    fn push_msg(&mut self, to_shard: u32, at: SimTime, body: MsgBody) {
+    /// Queue a boundary message that takes effect at `at`, stamped as created at
+    /// `sent`.
+    fn push_msg(&mut self, to_shard: u32, at: SimTime, sent: SimTime, body: MsgBody) {
         let seq = self.msg_seq;
         self.msg_seq += 1;
         self.outbox[to_shard as usize].push(ShardMsg {
             at,
-            sent: self.now,
+            sent,
             src_shard: self.shard,
             seq,
             body,
@@ -434,28 +459,34 @@ impl EngineCore {
     }
 
     /// The single-shard event loop: run to completion (Stop event, time cap, queue
-    /// exhaustion, or every flow finished).
+    /// exhaustion, or every flow finished). On return `pos` marks how far the run got.
     pub(crate) fn run_loop(&mut self) {
+        // Exhausting the queue, or passing the time cap, completes every departure
+        // up to the cap.
+        let end = EventPos::end_of(self.config.max_sim_time);
         while let Some(ev) = self.events.pop() {
             if ev.at > self.config.max_sim_time {
-                break;
+                self.pos = end;
+                return;
             }
             self.now = ev.at;
+            self.pos = ev.pos();
             self.events.set_now(ev.at);
             match ev.kind {
-                EventKind::Stop => break,
+                EventKind::Stop => return,
                 kind => self.dispatch(kind),
             }
             if self.config.stop_when_flows_done
                 && self.unfinished_flows == 0
                 && self.pending_arrivals == 0
             {
-                break;
+                return;
             }
         }
+        self.pos = end;
     }
 
-    /// Process every pending event strictly before `window_end` (`None`: unbounded).
+    /// Process every pending event strictly before `window_end`.
     ///
     /// This is the sharded counterpart of [`EngineCore::run_loop`]: the conservative
     /// lookahead guarantees no other shard can inject an event before `window_end`,
@@ -464,32 +495,46 @@ impl EngineCore {
     /// cannot see other shards' counters mid-window), so a sharded run may process a
     /// bounded tail of events after the last flow finished; those events cannot
     /// change any flow's outcome.
-    pub(crate) fn process_window(&mut self, window_end: Option<SimTime>) {
+    pub(crate) fn process_window(&mut self, window_end: SimTime) {
         if self.stopped {
             return;
         }
         // Batched drain: `pop_window` streams straight off the calendar queue's
         // sorted current run — one call per event instead of a peek-compare-pop
         // round-trip, with no re-peeking between events.
-        loop {
-            let ev = match window_end {
-                Some(end) => self.events.pop_window(end),
-                None => self.events.pop(),
-            };
-            let Some(ev) = ev else { break };
+        while let Some(ev) = self.events.pop_window(window_end) {
             if ev.at > self.config.max_sim_time {
+                self.pos = EventPos::end_of(self.config.max_sim_time);
                 self.stopped = true;
-                break;
+                return;
             }
             self.now = ev.at;
+            self.pos = ev.pos();
             self.events.set_now(ev.at);
             match ev.kind {
                 EventKind::Stop => {
                     self.stopped = true;
-                    break;
+                    return;
                 }
                 kind => self.dispatch(kind),
             }
+        }
+        // Every event before the window end has run; if the driver ends the run
+        // here, departures up to it have completed.
+        self.pos = EventPos::start_of(window_end);
+    }
+
+    /// Retire, on every link, the departures that completed before `pos` — the
+    /// end-of-run settlement of the lazily retired transmit completions.
+    pub(crate) fn retire_all_links(&mut self) {
+        let pos = self.pos;
+        for link in &mut self.network.links {
+            link.retire(pos);
+            debug_assert!(
+                link.departures_consistent(),
+                "departure ring of {:?} out of sync with queue_bytes",
+                link.id
+            );
         }
     }
 
@@ -511,7 +556,6 @@ impl EngineCore {
             EventKind::PacketAtNode { node, packet, .. } => {
                 self.handle_packet_at_node(node, packet)
             }
-            EventKind::TransmitDone { link } => self.handle_transmit_done(link),
             EventKind::Timer {
                 node,
                 flow,
@@ -526,7 +570,8 @@ impl EngineCore {
 
     /// Tear the core down into its [`SimResults`] (single-shard runs; sharded runs
     /// merge core state field by field instead).
-    pub(crate) fn into_results(self) -> SimResults {
+    pub(crate) fn into_results(mut self) -> SimResults {
+        self.retire_all_links();
         let link_stats = self
             .network
             .links
@@ -663,7 +708,7 @@ impl EngineCore {
         shards.dedup();
         let now = self.now;
         for s in shards {
-            self.push_msg(s, now, MsgBody::Register(Box::new(info.clone())));
+            self.push_msg(s, now, now, MsgBody::Register(Box::new(info.clone())));
         }
     }
 
@@ -752,7 +797,7 @@ impl EngineCore {
             (link, ctl)
         };
 
-        // Run the link controller (switch scheduling logic).
+        // Run the link controller (switch scheduling logic) on up-to-date link state.
         if let Some(cl) = controller_link {
             let Self {
                 controllers,
@@ -760,7 +805,9 @@ impl EngineCore {
                 ..
             } = self;
             if let Some(ctl) = controllers[cl.index()].as_mut() {
-                let link_ref = network.link(cl);
+                let link_ref = network.link_mut(cl);
+                link_ref.retire(self.pos);
+                let link_ref = &*link_ref;
                 if packet.reverse {
                     ctl.on_reverse(&mut packet, self.now, link_ref);
                 } else {
@@ -794,10 +841,13 @@ impl EngineCore {
             }
         }
 
-        // Tail-drop FIFO enqueue.
-        let now = self.now;
+        // Tail-drop FIFO enqueue. The departure time is final once the link accepts
+        // the packet, so its arrival at the next node is scheduled right away. It is
+        // stamped as created at the departure: same-instant arrivals then order as if
+        // scheduled when the packet left the link.
         let wire = packet.wire_size as u64;
         let link = self.network.link_mut(next_link);
+        link.retire(self.pos);
         if link.queue_bytes + wire > link.queue_capacity_bytes {
             link.stats.tail_drops += 1;
             if let Some(state) = self.flows.get_mut(flow_slot) {
@@ -805,60 +855,17 @@ impl EngineCore {
             }
             return;
         }
-        link.queue.push_back(packet);
-        link.queue_bytes += wire;
-        link.stats.max_queue_bytes = link.stats.max_queue_bytes.max(link.queue_bytes);
-        if !link.busy {
-            link.busy = true;
-            // The queue was empty before this push, so the front is the packet we
-            // just enqueued.
-            let tx =
-                link.transmission_time(link.queue.front().expect("just pushed").wire_size as u64);
-            self.events
-                .schedule(now + tx, EventKind::TransmitDone { link: next_link });
-        }
-    }
-
-    fn handle_transmit_done(&mut self, link_id: LinkId) {
-        let now = self.now;
-        let (packet, next_tx) = {
-            let link = self.network.link_mut(link_id);
-            // Invariant: a TransmitDone is scheduled exactly when a packet starts
-            // serializing, so the queue must be non-empty here. A mis-sequenced
-            // controller action (or a future engine bug) must degrade, not crash:
-            // flag it in debug builds, recover by idling the link otherwise.
-            let Some(mut packet) = link.queue.pop_front() else {
-                debug_assert!(false, "TransmitDone on {link_id:?} with an empty queue");
-                link.busy = false;
-                return;
-            };
-            link.queue_bytes -= packet.wire_size as u64;
-            let tx_time = link.transmission_time(packet.wire_size as u64);
-            link.stats.bytes_transmitted += packet.wire_size as u64;
-            link.stats.packets_transmitted += 1;
-            link.stats.busy_time += tx_time;
-            packet.hop += 1;
-            let next_tx = if let Some(front) = link.queue.front() {
-                Some(link.transmission_time(front.wire_size as u64))
-            } else {
-                link.busy = false;
-                None
-            };
-            (packet, next_tx)
-        };
-        if let Some(tx) = next_tx {
-            self.events
-                .schedule(now + tx, EventKind::TransmitDone { link: link_id });
-        }
-        let link = self.network.link(link_id);
-        let arrive_at = now + link.prop_delay + self.config.processing_delay;
+        let depart = link.enqueue(self.now, wire);
+        let arrive_at = depart + link.prop_delay + self.config.processing_delay;
         let dst = link.dst;
+        packet.hop += 1;
         if self.is_local(dst) {
             let flow = packet.flow;
             let tie = packet_tie(&packet);
             let slot = self.pool.park(packet);
-            self.events.schedule(
+            self.events.schedule_created(
                 arrive_at,
+                depart,
                 EventKind::PacketAtNode {
                     node: dst,
                     packet: slot,
@@ -867,12 +874,13 @@ impl EngineCore {
                 },
             );
         } else {
-            // Boundary crossing: the conservative lookahead window is sized so that
-            // `arrive_at` is at or past the receiver's next barrier.
+            // Boundary crossing: `arrive_at` is at least one lookahead past `now`, so
+            // it lies at or past the receiver's next barrier.
             let to = self.shard_of[dst.index()];
             self.push_msg(
                 to,
                 arrive_at,
+                depart,
                 MsgBody::Packet {
                     node: dst,
                     packet: Box::new(packet),
@@ -913,7 +921,9 @@ impl EngineCore {
             let Some(ctl) = controllers[link_id.index()].as_mut() else {
                 return;
             };
-            ctl.on_tick(self.now, network.link(link_id))
+            let link = network.link_mut(link_id);
+            link.retire(self.pos);
+            ctl.on_tick(self.now, link)
         };
         if let Some(t) = next {
             assert!(t > self.now, "controller tick must advance time");
@@ -935,6 +945,8 @@ impl EngineCore {
             if !self.is_local(self.network.link(l).src) {
                 continue;
             }
+            let pos = self.pos;
+            self.network.link_mut(l).retire(pos);
             let link = self.network.link(l);
             let prev = self.link_bytes_at_last_sample[l.index()];
             let delta = link.stats.bytes_transmitted - prev;
@@ -1040,6 +1052,7 @@ impl EngineCore {
                         self.push_msg(
                             to,
                             at,
+                            at,
                             MsgBody::Packet {
                                 node: origin,
                                 packet: Box::new(packet),
@@ -1077,7 +1090,7 @@ impl EngineCore {
                         );
                     } else {
                         let to = self.shard_of[node.index()];
-                        self.push_msg(to, at, MsgBody::SetTimer { flow, kind, token });
+                        self.push_msg(to, at, self.now, MsgBody::SetTimer { flow, kind, token });
                     }
                 }
                 Action::FlowCompleted(flow) => self.finish_flow(flow, true),
@@ -1127,7 +1140,7 @@ impl EngineCore {
         } else {
             let to = self.shard_of[src.index()];
             let at = self.now;
-            self.push_msg(to, at, MsgBody::Finished { flow, completed });
+            self.push_msg(to, at, at, MsgBody::Finished { flow, completed });
         }
     }
 }
@@ -1582,38 +1595,66 @@ pub(crate) mod tests {
         assert_eq!(failed.raw_bytes_delivered, 0);
     }
 
-    /// Regression (mis-sequenced TransmitDone): in release builds a spurious
-    /// TransmitDone on an idle link is absorbed (link idled, no crash); in debug
-    /// builds the checked invariant fires.
-    #[cfg(not(debug_assertions))]
+    /// The departure ring invariant holds through a congested run: two blasts share
+    /// the bottleneck with 20 KB queues, so rings fill, drop and drain. Every
+    /// retirement checks it on the links it touches, and the end of the run on every
+    /// link (debug builds).
     #[test]
-    fn spurious_transmit_done_is_absorbed_in_release() {
+    fn departure_rings_stay_consistent_under_congestion() {
+        let mut net = Network::new();
+        let h0 = net.add_host("h0");
+        let h1 = net.add_host("h1");
+        let s0 = net.add_switch("s0");
+        let h2 = net.add_host("h2");
+        let small = LinkParams {
+            queue_capacity_bytes: 20_000,
+            ..Default::default()
+        };
+        net.add_duplex_link(h0, s0, small);
+        net.add_duplex_link(h1, s0, small);
+        net.add_duplex_link(s0, h2, small);
+        let mut sim = blast_sim(net);
+        sim.core.config.stop_when_flows_done = false;
+        sim.core.config.max_sim_time = SimTime::from_micros(100);
+        sim.add_flow(FlowSpec::new(1, h0, h2, 200_000));
+        sim.add_flow(FlowSpec::new(2, h1, h2, 200_000));
+        let mut core = sim.core;
+        core.setup();
+        core.run_loop();
+        core.retire_all_links();
+        // Stopped mid-burst: packets are still queued on the bottleneck.
+        let bottleneck = core.network.link(LinkId(4));
+        assert!(bottleneck.queue_bytes() > 0);
+        assert!(core.network.links.iter().all(|l| l.departures_consistent()));
+        let res = core.into_results();
+        assert!(res.total_tail_drops() > 0);
+    }
+
+    /// A counter that drifts from its departure ring is caught in debug builds the
+    /// first time the ring drains.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "departure ring")]
+    fn queue_bytes_out_of_sync_with_the_ring_panics_in_debug() {
         let net = dumbbell();
         let hosts = net.hosts();
         let mut sim = blast_sim(net);
-        sim.core.events.schedule(
-            SimTime::from_micros(1),
-            EventKind::TransmitDone { link: LinkId(0) },
-        );
+        sim.core.network.link_mut(LinkId(0)).queue_bytes = 1_000;
+        sim.add_flow(FlowSpec::new(1, hosts[0], hosts[2], 50_000));
+        let _ = sim.run();
+    }
+
+    /// Release counterpart: the drift only overstates occupancy; the run completes.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn queue_bytes_out_of_sync_with_the_ring_is_absorbed_in_release() {
+        let net = dumbbell();
+        let hosts = net.hosts();
+        let mut sim = blast_sim(net);
+        sim.core.network.link_mut(LinkId(0)).queue_bytes = 1_000;
         sim.add_flow(FlowSpec::new(1, hosts[0], hosts[2], 50_000));
         let res = sim.run();
         assert_eq!(res.completed_count(), 1);
-    }
-
-    /// Debug counterpart: the invariant is checked.
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "TransmitDone")]
-    fn spurious_transmit_done_panics_in_debug() {
-        let net = dumbbell();
-        let hosts = net.hosts();
-        let mut sim = blast_sim(net);
-        sim.core.events.schedule(
-            SimTime::from_micros(1),
-            EventKind::TransmitDone { link: LinkId(0) },
-        );
-        sim.add_flow(FlowSpec::new(1, hosts[0], hosts[2], 50_000));
-        let _ = sim.run();
     }
 
     #[test]

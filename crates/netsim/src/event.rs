@@ -86,10 +86,10 @@ pub enum TimerKind {
     Custom(u8),
 }
 
-/// A handle to an in-flight packet parked in the engine's packet pool while it waits
-/// for its propagation/processing delay to elapse. Pool slots are recycled, so packet
-/// hops allocate nothing in steady state; the slot is only meaningful to the engine
-/// that issued it.
+/// A handle to an in-flight packet parked in the engine's packet pool from the moment
+/// a link accepts it until it reaches the next node (queueing, serialization,
+/// propagation and processing). Pool slots are recycled, so packet hops allocate
+/// nothing in steady state; the slot is only meaningful to the engine that issued it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PacketSlot(pub u32);
 
@@ -99,7 +99,9 @@ pub enum EventKind {
     /// A new flow arrives at its source host. Boxed: a `FlowSpec` is ~10× the size of
     /// every other variant and would otherwise inflate the whole queue.
     FlowArrival(Box<FlowSpec>),
-    /// A packet has finished propagation + processing and is now at `node`.
+    /// A packet has crossed a link (queueing, serialization, propagation and
+    /// processing) and is now at `node`. Scheduled when the link accepts it, created
+    /// at its departure time.
     PacketAtNode {
         /// Node the packet is at.
         node: NodeId,
@@ -113,11 +115,6 @@ pub enum EventKind {
         /// insertion-order-dependent, so the key is computed from the packet itself
         /// before it is parked.
         tie: u64,
-    },
-    /// The packet currently being serialized on `link` has been fully transmitted.
-    TransmitDone {
-        /// The transmitting link.
-        link: LinkId,
     },
     /// A host timer fires.
     Timer {
@@ -155,15 +152,20 @@ pub(crate) fn mix(a: u64, b: u64) -> u64 {
     x ^ (x >> 32)
 }
 
+/// Class rank of a link's transmit completion. Completions are not queued events:
+/// every link is a FIFO whose departure times are fixed at enqueue, so the engine
+/// retires them lazily (see [`EventPos`]). The rank keeps their place among
+/// same-instant events: after packet deliveries, before timers and ticks.
+pub(crate) const TRANSMIT_RANK: u8 = 2;
+
 impl EventKind {
     /// Rank of the event class among same-instant events. Flow arrivals fire before
-    /// packet deliveries, which fire before transmit completions, timers and ticks —
-    /// a fixed convention both engines share.
+    /// packet deliveries, which fire before transmit completions ([`TRANSMIT_RANK`]),
+    /// timers and ticks — a fixed convention both engines share.
     fn class_rank(&self) -> u8 {
         match self {
             EventKind::FlowArrival(_) => 0,
             EventKind::PacketAtNode { .. } => 1,
-            EventKind::TransmitDone { .. } => 2,
             EventKind::Timer { .. } => 3,
             EventKind::ControllerTick { .. } => 4,
             EventKind::TraceSample => 5,
@@ -184,7 +186,6 @@ impl EventKind {
             EventKind::PacketAtNode {
                 node, flow, tie, ..
             } => (flow.value(), mix(*tie, node.0 as u64)),
-            EventKind::TransmitDone { link } => (link.0 as u64, 0),
             EventKind::Timer {
                 node,
                 flow,
@@ -240,6 +241,60 @@ impl Event {
             self.kind.content_key(),
             self.seq,
         )
+    }
+
+    /// The event's position in the dispatch order, up to its class.
+    pub(crate) fn pos(&self) -> EventPos {
+        EventPos {
+            at: self.at,
+            created: self.created,
+            class: self.kind.class_rank(),
+        }
+    }
+}
+
+/// A point in the dispatch order: the `(time, creation time, class rank)` prefix of
+/// an event key.
+///
+/// The engine compares a link's pending transmit completions against the position
+/// of the event being dispatched: a packet whose completion key
+/// `(depart, depart − tx, TRANSMIT_RANK)` sorts below it has left the link. No
+/// queued event has class [`TRANSMIT_RANK`], so the prefix never ties and the
+/// content key is never needed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct EventPos {
+    pub(crate) at: SimTime,
+    pub(crate) created: SimTime,
+    pub(crate) class: u8,
+}
+
+impl EventPos {
+    /// The position of a transmit completion at `depart` of a packet that began
+    /// serializing at `start`.
+    pub(crate) fn transmit_done(start: SimTime, depart: SimTime) -> Self {
+        EventPos {
+            at: depart,
+            created: start,
+            class: TRANSMIT_RANK,
+        }
+    }
+
+    /// Past every event that fires strictly before `t`, and before every event at `t`.
+    pub(crate) fn start_of(t: SimTime) -> Self {
+        EventPos {
+            at: t,
+            created: SimTime::ZERO,
+            class: 0,
+        }
+    }
+
+    /// Past every event that fires at or before `t`.
+    pub(crate) fn end_of(t: SimTime) -> Self {
+        EventPos {
+            at: t,
+            created: SimTime::MAX,
+            class: u8::MAX,
+        }
     }
 }
 
@@ -657,16 +712,59 @@ mod tests {
     #[test]
     fn class_rank_orders_same_instant_events() {
         // At equal (at, created), flow arrivals outrank packet deliveries, which
-        // outrank transmit completions and timers.
+        // outrank timers, controller ticks, trace samples and the stop.
         let t = SimTime::from_micros(5);
         let mut q = EventQueue::new();
-        q.schedule(t, timer(1));
-        q.schedule(t, EventKind::TransmitDone { link: LinkId(0) });
         q.schedule(t, EventKind::Stop);
+        q.schedule(t, EventKind::TraceSample);
+        q.schedule(t, EventKind::ControllerTick { link: LinkId(0) });
+        q.schedule(t, timer(1));
+        q.schedule(
+            t,
+            EventKind::PacketAtNode {
+                node: NodeId(0),
+                packet: PacketSlot(0),
+                flow: FlowId(1),
+                tie: 0,
+            },
+        );
+        q.schedule(
+            t,
+            EventKind::FlowArrival(Box::new(FlowSpec::new(1, NodeId(0), NodeId(1), 1))),
+        );
         let ranks: Vec<u8> = std::iter::from_fn(|| q.pop())
             .map(|e| e.kind.class_rank())
             .collect();
-        assert_eq!(ranks, vec![2, 3, 6]);
+        assert_eq!(ranks, vec![0, 1, 3, 4, 5, 6]);
+    }
+
+    #[test]
+    fn transmit_completions_sort_between_deliveries_and_timers() {
+        // A lazily retired completion sorts by time, then creation (serialization
+        // start), then class: after packet deliveries, before everything else.
+        let t = SimTime::from_micros(5);
+        let start = SimTime::from_micros(4);
+        let done = EventPos::transmit_done(start, t);
+        let at = |created: SimTime, class: u8| EventPos {
+            at: t,
+            created,
+            class,
+        };
+        assert!(at(start, 1) < done, "a delivery created with it goes first");
+        assert!(done < at(start, 3), "a timer created with it goes after");
+        assert!(
+            at(SimTime::from_micros(3), 5) < done,
+            "earlier creation wins"
+        );
+        assert!(done < at(t, 1), "later creation loses, whatever the class");
+        assert!(EventPos::start_of(t) < done && done < EventPos::end_of(t));
+        let ev = Event {
+            at: t,
+            created: start,
+            seq: 0,
+            kind: EventKind::ControllerTick { link: LinkId(0) },
+        };
+        assert_eq!(ev.pos(), at(start, 4));
     }
 
     #[test]

@@ -10,9 +10,11 @@
 //! * **Topology** — hosts and switches connected by full-duplex links, each direction
 //!   with its own FIFO tail-drop queue bounded in bytes ([`network::Network`]).
 //! * **Link model** — serialization at the line rate, propagation delay, per-hop
-//!   processing delay, byte-bounded tail-drop queues and optional random loss
+//!   processing delay, byte-bounded FIFO tail-drop queues and optional random loss
 //!   (defaults match the paper's setup: 1 Gbps, 4 MB buffers, 11/0.1/25 µs
-//!   transmission/propagation/processing per hop).
+//!   transmission/propagation/processing per hop). A packet's departure time is
+//!   fixed when its link accepts it, so each hop costs one event: the arrival at
+//!   the next node, scheduled at enqueue (see the [`engine`] module).
 //! * **Transport agents** — per-host protocol endpoints implementing the
 //!   [`HostAgent`] trait (PDQ, TCP, RCP, D3 senders/receivers live in the `pdq` and
 //!   `pdq-baselines` crates).

@@ -50,11 +50,14 @@ pub struct Sample {
 pub struct Traces {
     /// Link utilization over each sampling interval (bytes transmitted / capacity).
     pub link_utilization: HashMap<LinkId, Vec<Sample>>,
-    /// Instantaneous link queue occupancy in bytes at each sample time.
+    /// Instantaneous link queue occupancy in bytes at each sample time, including
+    /// the packet being serialized ([`crate::Link::queue_bytes`]).
     pub link_queue_bytes: HashMap<LinkId, Vec<Sample>>,
     /// Per-flow goodput (bits/s of acked payload) over each sampling interval.
     pub flow_goodput: HashMap<FlowId, Vec<Sample>>,
-    /// Pending-event depth of the scheduler at each sample time. In a partitioned
+    /// Pending-event depth of the scheduler at each sample time: one arrival event
+    /// per packet accepted by a link and not yet at its next node, plus timers,
+    /// ticks and flow arrivals. In a partitioned
     /// run every shard samples its own queue, so same-instant samples (one per
     /// shard, in shard order) coexist in the merged series.
     pub event_queue_depth: Vec<Sample>,

@@ -9,8 +9,8 @@
 
 use std::collections::VecDeque;
 
+use crate::event::EventPos;
 use crate::ids::{LinkId, NodeId};
-use crate::packet::Packet;
 use crate::time::SimTime;
 
 /// Default link rate: 1 Gbps (paper §5.1).
@@ -79,6 +79,19 @@ pub struct LinkStats {
     pub max_queue_bytes: u64,
 }
 
+/// One packet accepted onto a link's FIFO, recorded by its serialization schedule.
+/// The packet itself is already on its way to the next node (parked in the engine's
+/// pool under an event scheduled for `depart + prop + processing`).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Departure {
+    /// When its last bit leaves the link.
+    depart: SimTime,
+    /// Its serialization time; it started transmitting at `depart - tx`.
+    tx: SimTime,
+    /// Its wire bytes.
+    wire: u64,
+}
+
 /// A unidirectional link with its egress FIFO tail-drop queue.
 #[derive(Clone, Debug)]
 pub struct Link {
@@ -101,12 +114,13 @@ pub struct Link {
     pub loss_stream: LossStream,
     /// The id of the link in the opposite direction.
     pub reverse: LinkId,
-    /// FIFO egress queue (packets waiting behind the one being serialized).
-    pub queue: VecDeque<Packet>,
-    /// Bytes currently waiting in `queue`.
+    /// Bytes accepted onto the link whose transmission has not completed: the
+    /// packets waiting in the FIFO plus the one being serialized. The byte sum of
+    /// `departures`.
     pub queue_bytes: u64,
-    /// True while a packet is being serialized onto the wire.
-    pub busy: bool,
+    /// The FIFO's departure schedule, oldest first, with non-decreasing departure
+    /// times: one entry per packet counted in `queue_bytes`.
+    pub(crate) departures: VecDeque<Departure>,
     /// Counters.
     pub stats: LinkStats,
 }
@@ -117,9 +131,62 @@ impl Link {
         SimTime::transmission_time(bytes, self.rate_bps)
     }
 
-    /// Instantaneous queue occupancy in bytes (excluding the packet on the wire).
+    /// Instantaneous queue occupancy in bytes, *including* the packet being
+    /// serialized: a packet counts from the moment the link accepts it until its last
+    /// bit has left.
     pub fn queue_bytes(&self) -> u64 {
         self.queue_bytes
+    }
+
+    /// Accept a `wire`-byte packet at `now` behind everything already queued and
+    /// return the time its last bit leaves the link:
+    /// `max(now, previous departure) + tx`. The caller has checked the capacity.
+    pub(crate) fn enqueue(&mut self, now: SimTime, wire: u64) -> SimTime {
+        let tx = self.transmission_time(wire);
+        let start = self
+            .departures
+            .back()
+            .map_or(now, |last| last.depart.max(now));
+        let depart = start + tx;
+        self.departures.push_back(Departure { depart, tx, wire });
+        self.queue_bytes += wire;
+        self.stats.max_queue_bytes = self.stats.max_queue_bytes.max(self.queue_bytes);
+        depart
+    }
+
+    /// Complete every transmission whose completion sorts before `pos` in the
+    /// dispatch order (see [`EventPos`]), moving it from the queue into the counters.
+    ///
+    /// A completion always sorts after the event that enqueued it unless its
+    /// serialization time rounds to zero (line rates of hundreds of Gbit/s); such a
+    /// packet leaves the queue at the next retirement instead of after that event.
+    pub(crate) fn retire(&mut self, pos: EventPos) {
+        while let Some(d) = self.departures.front() {
+            if EventPos::transmit_done(d.depart - d.tx, d.depart) >= pos {
+                return;
+            }
+            self.queue_bytes -= d.wire;
+            self.stats.bytes_transmitted += d.wire;
+            self.stats.packets_transmitted += 1;
+            self.stats.busy_time += d.tx;
+            self.departures.pop_front();
+        }
+        debug_assert_eq!(
+            self.queue_bytes, 0,
+            "departure ring of {:?} is empty but queue_bytes is not",
+            self.id
+        );
+    }
+
+    /// The departure ring's invariant: departure times never decrease, and
+    /// `queue_bytes` is the ring's byte sum.
+    pub(crate) fn departures_consistent(&self) -> bool {
+        let ordered = self
+            .departures
+            .iter()
+            .zip(self.departures.iter().skip(1))
+            .all(|(a, b)| a.depart <= b.depart);
+        ordered && self.departures.iter().map(|d| d.wire).sum::<u64>() == self.queue_bytes
     }
 }
 
@@ -221,9 +288,8 @@ impl Network {
             loss_rate: params.loss_rate,
             loss_stream: params.loss_stream,
             reverse: ba,
-            queue: VecDeque::new(),
             queue_bytes: 0,
-            busy: false,
+            departures: VecDeque::new(),
             stats: LinkStats::default(),
         });
         self.links.push(Link {
@@ -236,9 +302,8 @@ impl Network {
             loss_rate: params.loss_rate,
             loss_stream: params.loss_stream,
             reverse: ab,
-            queue: VecDeque::new(),
             queue_bytes: 0,
-            busy: false,
+            departures: VecDeque::new(),
             stats: LinkStats::default(),
         });
         self.adjacency[a.index()].push(ab);
@@ -345,9 +410,8 @@ impl Network {
     /// reused for another simulation run.
     pub fn reset_runtime_state(&mut self) {
         for l in &mut self.links {
-            l.queue.clear();
+            l.departures.clear();
             l.queue_bytes = 0;
-            l.busy = false;
             l.stats = LinkStats::default();
         }
     }
@@ -433,12 +497,69 @@ mod tests {
     #[test]
     fn reset_clears_runtime_state() {
         let (mut net, _) = line_network();
-        net.link_mut(LinkId(0)).queue_bytes = 100;
-        net.link_mut(LinkId(0)).busy = true;
-        net.link_mut(LinkId(0)).stats.tail_drops = 3;
+        let l = net.link_mut(LinkId(0));
+        l.enqueue(SimTime::ZERO, 1500);
+        l.enqueue(SimTime::ZERO, 1500);
+        l.stats.tail_drops = 3;
         net.reset_runtime_state();
-        assert_eq!(net.link(LinkId(0)).queue_bytes, 0);
-        assert!(!net.link(LinkId(0)).busy);
-        assert_eq!(net.link(LinkId(0)).stats.tail_drops, 0);
+        let l = net.link(LinkId(0));
+        assert_eq!(l.queue_bytes(), 0);
+        assert!(l.departures.is_empty());
+        assert_eq!(l.stats.tail_drops, 0);
+        assert_eq!(l.stats.max_queue_bytes, 0);
+        // An emptied link is idle again: the next packet starts at once.
+        let l = net.link_mut(LinkId(0));
+        assert_eq!(l.enqueue(SimTime::ZERO, 1500), SimTime::from_nanos(12_000));
+    }
+
+    #[test]
+    fn queue_bytes_counts_the_packet_on_the_wire() {
+        let (mut net, _) = line_network();
+        let l = net.link_mut(LinkId(0));
+        let t0 = SimTime::from_micros(3);
+        let tx = l.transmission_time(1500);
+        let depart = l.enqueue(t0, 1500);
+        assert_eq!(depart, t0 + tx);
+        // Serializing on an idle link: the packet is counted until its last bit left.
+        assert_eq!(l.queue_bytes(), 1500);
+        l.retire(EventPos::start_of(depart));
+        assert_eq!(l.queue_bytes(), 1500, "still on the wire until `depart`");
+        // A delivery at `depart` created with the completion still precedes it.
+        l.retire(EventPos {
+            at: depart,
+            created: t0,
+            class: 1,
+        });
+        assert_eq!(l.queue_bytes(), 1500);
+        l.retire(EventPos::end_of(depart));
+        assert_eq!(l.queue_bytes(), 0);
+        assert_eq!(l.stats.bytes_transmitted, 1500);
+        assert_eq!(l.stats.packets_transmitted, 1);
+        assert_eq!(l.stats.busy_time, tx);
+        assert_eq!(l.stats.max_queue_bytes, 1500);
+    }
+
+    #[test]
+    fn departures_are_fifo_and_retire_in_order() {
+        let (mut net, _) = line_network();
+        let l = net.link_mut(LinkId(0));
+        let tx = l.transmission_time(1500);
+        let t0 = SimTime::from_micros(1);
+        // Three back-to-back packets queue behind each other...
+        let d: Vec<SimTime> = (0..3).map(|_| l.enqueue(t0, 1500)).collect();
+        assert_eq!(d, vec![t0 + tx, t0 + tx + tx, t0 + tx + tx + tx]);
+        assert!(l.departures_consistent());
+        // ...a fourth, accepted once the link drained, starts at once.
+        l.retire(EventPos::end_of(d[1]));
+        assert_eq!(l.queue_bytes(), 1500);
+        assert_eq!(l.stats.packets_transmitted, 2);
+        let late = d[2] + SimTime::from_micros(100);
+        l.retire(EventPos::start_of(late));
+        assert_eq!(l.queue_bytes(), 0);
+        assert_eq!(l.enqueue(late, 40), late + l.transmission_time(40));
+        assert!(l.departures_consistent());
+        // A tampered counter breaks the invariant.
+        l.queue_bytes += 1;
+        assert!(!l.departures_consistent());
     }
 }

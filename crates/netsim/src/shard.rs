@@ -11,9 +11,11 @@
 //! 1. every shard publishes the time of its earliest pending event;
 //! 2. all shards compute the same global minimum `T` and process every local event in
 //!    `[T, T + L)`, where the lookahead `L` is the minimum cross-shard link latency
-//!    (propagation + per-hop processing). A packet crossing a shard boundary at time
-//!    `t ≥ T` arrives at `t + prop + processing ≥ T + L`, i.e. strictly after the
-//!    window — so no shard can ever receive an event for a time it has already passed;
+//!    (propagation + per-hop processing). A packet accepted at time `t ≥ T` onto a
+//!    link that crosses a shard boundary is handed over at once, since its departure
+//!    `d ≥ t` is fixed at enqueue; it arrives at `d + prop + processing ≥ T + L`,
+//!    i.e. at or after the window end — so no shard can ever receive an event for a
+//!    time it has already passed;
 //! 3. boundary messages (packets, flow registrations, completion notices) are
 //!    exchanged, ingested in a deterministic order, and the next window begins.
 //!
@@ -43,7 +45,8 @@
 //! bounded tail of in-flight events from the window containing the final finish (the
 //! global condition is only observable at the next barrier); this can nudge link byte
 //! counters and trace samples by up to one lookahead window but never changes a flow
-//! record or the end time. See the repository README ("Partitioned engine &
+//! record or the end time. Link counters settle at the end of the window a core last
+//! processed: departures completed before it are counted, later ones are not. See the repository README ("Partitioned engine &
 //! determinism model") for when N-shard results are fingerprint-identical to 1-shard.
 
 use std::collections::HashMap;
@@ -514,7 +517,7 @@ fn run_barrier_loop(cores: &mut [EngineCore], lookahead: SimTime) -> bool {
 
                     // Safe window: no shard can inject an event below t_min + L.
                     let window_end = SimTime::from_nanos(t_min.saturating_add(look_ns));
-                    core.process_window(Some(window_end));
+                    core.process_window(window_end);
 
                     // Exchange boundary messages.
                     for (to, mailbox) in mailboxes.iter().enumerate() {
@@ -541,7 +544,10 @@ fn run_barrier_loop(cores: &mut [EngineCore], lookahead: SimTime) -> bool {
 /// * traces are a disjoint union (each series is sampled by exactly one shard);
 /// * the end time mirrors the sequential engine: the instant the last flow settled
 ///   when the run stopped because all flows finished, the latest core clock otherwise.
-fn merge_results(cores: Vec<EngineCore>, flows_done: bool) -> SimResults {
+fn merge_results(mut cores: Vec<EngineCore>, flows_done: bool) -> SimResults {
+    for core in &mut cores {
+        core.retire_all_links();
+    }
     let shard_of = cores[0].shard_of.clone();
 
     let link_stats: Vec<_> = cores[0]

@@ -13,7 +13,7 @@ use std::collections::BinaryHeap;
 use proptest::prelude::*;
 
 use pdq_netsim::event::{Event, EventKind, EventQueue, PacketSlot, TimerKind};
-use pdq_netsim::{FlowId, LinkId, NodeId, SimTime};
+use pdq_netsim::{FlowId, FlowSpec, LinkId, NodeId, SimTime};
 
 /// The straightforward model: a min-heap over [`Event`]'s public `Ord` (the full
 /// deterministic key), with the same seq stamping and clock the real queue uses.
@@ -68,7 +68,7 @@ impl RefQueue {
 /// A content-bearing event kind derived from the op's payload, cycling through every
 /// class so ties exercise class ranks, flow/link ids, packet ties and timer tokens.
 fn kind_for(sel: u64, a: u64) -> EventKind {
-    match sel % 6 {
+    match sel % 7 {
         0 => EventKind::Timer {
             node: NodeId((a % 3) as u32),
             flow: FlowId(a % 7),
@@ -89,13 +89,17 @@ fn kind_for(sel: u64, a: u64) -> EventKind {
             flow: FlowId(a % 7),
             tie: a.wrapping_mul(0x9E37),
         },
-        3 => EventKind::TransmitDone {
-            link: LinkId((a % 4) as u32),
-        },
+        3 => EventKind::FlowArrival(Box::new(FlowSpec::new(
+            a % 7,
+            NodeId(0),
+            NodeId(1),
+            1 + a % 3,
+        ))),
         4 => EventKind::ControllerTick {
             link: LinkId((a % 4) as u32),
         },
-        _ => EventKind::TraceSample,
+        5 => EventKind::TraceSample,
+        _ => EventKind::Stop,
     }
 }
 
