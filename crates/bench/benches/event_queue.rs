@@ -2,11 +2,13 @@
 //! hold cycles (pop the minimum, push a replacement) and burst push-then-drain, at
 //! 1k / 100k / 1M pending events.
 //!
-//! The hold span scales with the population (mean spacing ~2.5 µs, matching the
-//! engine's per-hop latency quantum), so the small size lives entirely in the bucket
-//! wheel while the large sizes keep most events in the far-future overflow tier —
-//! both tiers are on the measured path. `crates/bench/tests/smoke.rs` runs a scaled-
-//! down mirror of the same loops as a correctness smoke test.
+//! The `hold` and `burst` spans scale with the population (mean spacing ~2.5 µs,
+//! matching the engine's per-hop latency quantum), so the small size lives entirely
+//! in the fine wheel while the large sizes keep most events in the coarse wheel.
+//! `hold_far` replaces each popped event a mean 30 ms ahead — a WAN one-way delay,
+//! past the fine wheel's ~26 ms — so it times the coarse wheel and its block spills.
+//! `crates/bench/tests/smoke.rs` runs a scaled-down mirror of the same loops as a
+//! correctness smoke test.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -41,12 +43,26 @@ fn prefill(pending: usize, span_ns: u64, seed: &mut u64) -> EventQueue {
     q
 }
 
+/// `cycles` hold steps: pop the earliest event and schedule a replacement up to
+/// `span_ns` ahead, so the queue's population stays constant.
+fn hold(q: &mut EventQueue, seed: &mut u64, span_ns: u64, cycles: usize) -> usize {
+    for _ in 0..cycles {
+        let ev = q.pop().expect("queue is never empty in hold");
+        q.set_now(ev.at);
+        let at = ev.at + SimTime::from_nanos(1 + lcg(seed) % span_ns);
+        q.schedule(at, ev.kind);
+    }
+    q.len()
+}
+
 fn bench_event_queue(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_queue");
     group.sample_size(10);
+    // WAN-range hold span: replacements land 0–60 ms ahead, a mean of 30 ms.
+    let far_span_ns = 60_000_000u64;
     for &pending in &[1_000usize, 100_000, 1_000_000] {
         // Mean spacing ~2.5 µs: one wheel bucket holds roughly a hop's worth of
-        // events, and the tail of the population sits in the overflow tier.
+        // events, and the tail of the population sits in the coarse wheel.
         let span_ns = pending as u64 * 2_500;
         let cycles = 10_000usize;
 
@@ -55,15 +71,14 @@ fn bench_event_queue(c: &mut Criterion) {
         let mut seed = 0x9E3779B97F4A7C15u64;
         let mut q = prefill(pending, span_ns, &mut seed);
         group.bench_function(&format!("hold/{pending}"), |b| {
-            b.iter(|| {
-                for _ in 0..cycles {
-                    let ev = q.pop().expect("queue is never empty in hold");
-                    q.set_now(ev.at);
-                    let at = ev.at + SimTime::from_nanos(1 + lcg(&mut seed) % span_ns);
-                    q.schedule(at, ev.kind);
-                }
-                q.len()
-            })
+            b.iter(|| hold(&mut q, &mut seed, span_ns, cycles))
+        });
+
+        // The same at WAN distances: most replacements go to the coarse wheel.
+        let mut seed = 0xD1B54A32D192ED03u64;
+        let mut q = prefill(pending, far_span_ns, &mut seed);
+        group.bench_function(&format!("hold_far/{pending}"), |b| {
+            b.iter(|| hold(&mut q, &mut seed, far_span_ns, cycles))
         });
 
         // Burst: push `pending` events, then drain them all.

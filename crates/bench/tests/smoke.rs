@@ -60,9 +60,10 @@ fn wan_pacing_scenario_smoke() {
 }
 
 /// Scaled-down mirror of `benches/event_queue.rs`: the hold loop (pop the minimum,
-/// push a replacement) and the burst drain must keep the queue consistent — pops in
-/// nondecreasing time order, events conserved, telemetry balanced. This keeps the
-/// micro-bench's harness logic exercised in CI without criterion.
+/// push a replacement) at per-hop and at WAN distances, and the burst drain, must
+/// keep the queue consistent — pops in nondecreasing time order, events conserved,
+/// telemetry balanced. This keeps the micro-bench's harness logic exercised in CI
+/// without criterion.
 #[test]
 fn event_queue_bench_harness_smoke() {
     use pdq_netsim::event::{EventKind, EventQueue, TimerKind};
@@ -76,41 +77,46 @@ fn event_queue_bench_harness_smoke() {
         state >> 33
     };
     let pending = 1_000usize;
-    let span_ns = pending as u64 * 2_500;
-    let mut q = EventQueue::new();
-    for i in 0..pending {
-        q.schedule(
-            SimTime::from_nanos(lcg() % span_ns),
-            EventKind::Timer {
-                node: NodeId((i % 64) as u32),
-                flow: FlowId(i as u64),
-                kind: TimerKind::Rto,
-                token: i as u64,
-                gen: 0,
-            },
-        );
+    for span_ns in [pending as u64 * 2_500, 60_000_000] {
+        let mut q = EventQueue::new();
+        for i in 0..pending {
+            q.schedule(
+                SimTime::from_nanos(lcg() % span_ns),
+                EventKind::Timer {
+                    node: NodeId((i % 64) as u32),
+                    flow: FlowId(i as u64),
+                    kind: TimerKind::Rto,
+                    token: i as u64,
+                    gen: 0,
+                },
+            );
+        }
+        // Hold phase.
+        let mut last = SimTime::ZERO;
+        for _ in 0..5_000 {
+            let ev = q.pop().expect("hold queue never empties");
+            assert!(ev.at >= last, "pops went backwards in time");
+            last = ev.at;
+            q.set_now(ev.at);
+            q.schedule(ev.at + SimTime::from_nanos(1 + lcg() % span_ns), ev.kind);
+            assert_eq!(q.len(), pending);
+        }
+        // Burst drain.
+        let mut drained = 0usize;
+        while let Some(ev) = q.pop() {
+            assert!(ev.at >= last, "drain went backwards in time");
+            last = ev.at;
+            drained += 1;
+        }
+        assert_eq!(drained, pending);
+        let stats = q.stats();
+        assert_eq!(stats.pushes, stats.pops);
+        assert_eq!(stats.peak_pending, pending as u64);
+        if span_ns > 26_000_000 {
+            // WAN distances: events reach the fine wheel through the coarse wheel.
+            assert!(stats.overflow_migrations > 0, "{stats:?}");
+        }
     }
-    // Hold phase.
-    let mut last = SimTime::ZERO;
-    for _ in 0..5_000 {
-        let ev = q.pop().expect("hold queue never empties");
-        assert!(ev.at >= last, "pops went backwards in time");
-        last = ev.at;
-        q.set_now(ev.at);
-        q.schedule(ev.at + SimTime::from_nanos(1 + lcg() % span_ns), ev.kind);
-        assert_eq!(q.len(), pending);
-    }
-    // Burst drain.
-    let mut drained = 0usize;
-    while let Some(ev) = q.pop() {
-        assert!(ev.at >= last, "drain went backwards in time");
-        last = ev.at;
-        drained += 1;
-    }
-    assert_eq!(drained, pending);
-    let stats = q.stats();
-    assert_eq!(stats.pushes, stats.pops);
-    assert_eq!(stats.peak_pending, pending as u64);
 }
 
 #[test]

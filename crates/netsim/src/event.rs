@@ -1,4 +1,4 @@
-//! The discrete-event queue: a deterministic two-tier calendar/ladder scheduler.
+//! The discrete-event queue: a deterministic three-tier calendar/ladder scheduler.
 //!
 //! Events are ordered by firing time, then by a **content-derived tie-break** that is
 //! independent of insertion order: creation time first (an event scheduled earlier in
@@ -13,33 +13,44 @@
 //! delivers it, not when its sender transmitted it, so insertion order differs between
 //! shard counts — but the content key does not.
 //!
-//! # Structure: bucket wheel + far-future overflow
+//! # Structure: fine wheel, coarse wheel, residual heap
 //!
 //! The queue is the hottest data structure in the simulator: every packet hop pushes
 //! and pops one [`Event`]. A binary heap pays an `O(log n)` sift on a ~64-byte key
 //! comparison for *every* push and pop; at 10⁵–10⁶ pending events those sifts dominate
-//! the run. The queue is therefore a calendar/ladder scheduler with two tiers:
+//! the run. The queue is therefore a calendar/ladder scheduler with three tiers, in
+//! the style of Varghese & Lauck's hierarchical timing wheels:
 //!
-//! * **Near future — the bucket wheel.** Time is cut into fixed-width buckets
+//! * **Near future — the fine wheel.** Time is cut into fixed-width buckets
 //!   (`bucket width` defaults to the per-hop latency quantum and is derived from the
 //!   topology's minimum link latency by the engine — the same quantum the shard
-//!   lookahead uses, so one bucket ≈ one hop's worth of events). The wheel covers the
-//!   next [`WHEEL_SLOTS`] buckets; pushing into it is `O(1)` (append to the bucket's
-//!   unsorted `Vec`).
-//! * **Far future — the overflow heap.** Events beyond the wheel horizon (long RTO
-//!   timers, the hard-stop event, pre-injected arrival backlogs) sit in a min-heap and
-//!   spill into the wheel bucket-by-bucket as time advances.
+//!   lookahead uses, so one bucket ≈ one hop's worth of events). The fine ring holds
+//!   the [`WHEEL_SLOTS`] buckets after the current one; pushing into it is `O(1)`
+//!   (append to the bucket's unsorted `Vec`).
+//! * **Far future — the coarse wheel.** Its slots are *blocks* of [`WHEEL_SLOTS`]
+//!   buckets each, and it holds the [`WHEEL_SLOTS`] blocks after the current bucket's
+//!   block (~26 s at the engine's ~25 µs buckets). Pushing into it is `O(1)` too.
+//!   When the next occupied block starts at or before the next occupied fine bucket,
+//!   the cursor steps to just before the block and the block's events spill into the
+//!   fine ring at `O(1)` each — the fine ring's span is exactly one block. Long-haul
+//!   WAN arrivals and timers (30 ms one-way is past the fine ring's ~26 ms) live here.
+//! * **Beyond the coarse horizon — a residual heap.** Only events further out than
+//!   the coarse ring reaches (the hard-stop event, very long timers, or everything
+//!   past about a millisecond at 1 ns buckets) sit in a min-heap. Each time the cursor
+//!   moves, the events the coarse horizon now covers move from the heap into the
+//!   coarse ring; when both rings are empty, the cursor jumps ahead so the heap
+//!   minimum's block enters the coarse ring.
 //!
 //! A bucket is sorted **lazily**, by the full deterministic key, only when it becomes
 //! the *current* bucket; popped events then stream out of a sorted run with no
 //! per-event comparisons. Same-bucket events scheduled while the bucket is draining
 //! (same-instant timers, forwarding chains) are placed by binary search into the
-//! not-yet-popped tail of the run. Amortized push/pop is `O(1)` for wheel events and
-//! `O(log n)` only for the far-future tier.
+//! not-yet-popped tail of the run. Amortized push/pop is `O(1)` for both wheels and
+//! `O(log n)` only for the residual heap.
 //!
 //! # Why the total order survives the restructure
 //!
-//! Popping always returns the globally minimal key, exactly as the heap did:
+//! Popping always returns the globally minimal key, exactly as a binary heap would:
 //!
 //! * buckets partition time, and the current bucket's range is `<=` every other
 //!   pending event's, so the global minimum lives in the current run;
@@ -47,8 +58,8 @@
 //!   and in-run insertions maintain that order (an event scheduled *behind* the
 //!   current bucket — e.g. a cross-shard timer clamped to `now` — binary-searches to
 //!   the front of the remaining tail, exactly where the heap would have popped it);
-//! * overflow events migrate into a bucket before that bucket is sorted, so they
-//!   participate in the same in-bucket order.
+//! * far-tier events (coarse or heap) reach their fine bucket before that bucket is
+//!   sorted, so they participate in the same in-bucket order.
 //!
 //! Sequence numbers are assigned at push time in the same order as before, so the
 //! popped sequence is **bit-identical** to the binary-heap implementation — every
@@ -311,7 +322,7 @@ impl PartialOrd for Event {
 }
 impl Ord for Event {
     /// Natural ascending key order: the minimum fires first. (Min-heap users must
-    /// wrap events in [`std::cmp::Reverse`]; the queue's overflow tier does.)
+    /// wrap events in [`std::cmp::Reverse`]; the queue's residual heap does.)
     fn cmp(&self, other: &Self) -> Ordering {
         self.key().cmp(&other.key())
     }
@@ -320,7 +331,7 @@ impl Ord for Event {
 /// Cheap telemetry counters maintained by [`EventQueue`]; see [`EventQueue::stats`].
 ///
 /// The counters cost one integer op per queue operation, so they are always on —
-/// scheduler regressions (e.g. events thrashing between the overflow tier and the
+/// scheduler regressions (e.g. events thrashing between the far tiers and the fine
 /// wheel, or buckets re-sorting pathologically often) are visible from a run's
 /// summary without a profiler.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -331,25 +342,135 @@ pub struct QueueStats {
     pub pops: u64,
     /// Maximum number of simultaneously pending events.
     pub peak_pending: u64,
-    /// Events that spilled from the far-future overflow tier into the bucket wheel.
+    /// Events moved from a far tier (the coarse wheel, which every residual-heap event
+    /// passes through) into the fine wheel.
     pub overflow_migrations: u64,
     /// Buckets lazily sorted on becoming current (≈ one per non-empty bucket drained).
     pub buckets_sorted: u64,
 }
 
-/// Number of buckets in the near-future wheel. Power of two; with the engine's
-/// per-hop bucket width (~25 µs at the paper's defaults) the wheel spans ~26 ms of
-/// simulated future — comfortably past every in-flight packet and pacing timer.
+/// Slots per wheel ring. Power of two. A fine slot is one bucket and a coarse slot is
+/// one block of `WHEEL_SLOTS` buckets, so with the engine's per-hop bucket width
+/// (~25 µs at the paper's defaults) the fine ring spans ~26 ms of simulated future —
+/// past every intra-datacenter packet and pacing timer — and the coarse ring ~26 s,
+/// past every WAN round trip and retransmission timeout.
 const WHEEL_SLOTS: usize = 1024;
 const WHEEL_WORDS: usize = WHEEL_SLOTS / 64;
+const RING: u64 = WHEEL_SLOTS as u64;
+
+/// One wheel ring: [`WHEEL_SLOTS`] unsorted `Vec`s indexed by an absolute index
+/// (bucket or block) modulo the ring size, plus an occupancy bitmap. Its owner keeps
+/// every resident index in `(base, base + WHEEL_SLOTS]` for the ring's base, so a slot
+/// holds events of exactly one absolute index.
+#[derive(Debug)]
+struct Ring {
+    slots: Vec<Vec<Event>>,
+    occupied: [u64; WHEEL_WORDS],
+    /// Total events in `slots`.
+    len: usize,
+}
+
+impl Ring {
+    fn new() -> Self {
+        Ring {
+            slots: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
+            occupied: [0; WHEEL_WORDS],
+            len: 0,
+        }
+    }
+
+    fn slot(index: u64) -> usize {
+        (index % RING) as usize
+    }
+
+    fn push(&mut self, index: u64, ev: Event) {
+        let slot = Self::slot(index);
+        self.slots[slot].push(ev);
+        self.occupied[slot / 64] |= 1u64 << (slot % 64);
+        self.len += 1;
+    }
+
+    /// Swap slot `index`'s events out into `with` (which must be empty).
+    fn take(&mut self, index: u64, with: &mut Vec<Event>) {
+        debug_assert!(with.is_empty());
+        let slot = Self::slot(index);
+        std::mem::swap(with, &mut self.slots[slot]);
+        self.occupied[slot / 64] &= !(1u64 << (slot % 64));
+        self.len -= with.len();
+    }
+
+    /// The earliest occupied index in `(base, base + WHEEL_SLOTS]`. By the residency
+    /// invariant the first set bit at ring distance `d` is exactly index `base + d`.
+    fn next_after(&self, base: u64) -> Option<u64> {
+        if self.len == 0 {
+            return None;
+        }
+        let mut d = 1u64;
+        while d <= RING {
+            let slot = Self::slot(base.wrapping_add(d));
+            let word = self.occupied[slot / 64] >> (slot % 64);
+            if word != 0 {
+                // Every distance scanned so far was empty, so a set bit here cannot
+                // be a wrapped-around distance past `WHEEL_SLOTS`.
+                let d = d + u64::from(word.trailing_zeros());
+                debug_assert!(d <= RING);
+                return Some(base + d);
+            }
+            // Skip to the next bitmap word boundary.
+            d += 64 - (slot % 64) as u64;
+        }
+        None
+    }
+
+    /// Move every event out into `all`, leaving the ring empty.
+    fn drain_into(&mut self, all: &mut Vec<Event>) {
+        for slot in &mut self.slots {
+            all.append(slot);
+        }
+        self.occupied = [0; WHEEL_WORDS];
+        self.len = 0;
+    }
+
+    /// True if every resident event has index `f(e)` in `(base, base + WHEEL_SLOTS]`
+    /// and sits in that index's slot, and the bitmap and `len` agree with the slots.
+    fn holds_only(&self, base: u64, f: impl Fn(&Event) -> u64) -> bool {
+        self.slots.iter().enumerate().all(|(slot, evs)| {
+            let bit = self.occupied[slot / 64] & (1u64 << (slot % 64)) != 0;
+            bit != evs.is_empty()
+                && evs.iter().all(|e| {
+                    let i = f(e);
+                    i > base && i - base <= RING && Self::slot(i) == slot
+                })
+        }) && self.len == self.slots.iter().map(Vec::len).sum::<usize>()
+    }
+}
+
+/// The step [`EventQueue::advance`] takes next, by where the earliest pending event
+/// outside the current run lives.
+enum Next {
+    /// In this fine bucket; no coarse block starts at or before it.
+    Bucket(u64),
+    /// In coarse block `block`, or in fine bucket `fine` (which starts no earlier
+    /// than the block): the block must spill before any fine bucket becomes current.
+    Block { block: u64, fine: Option<u64> },
+    /// Both rings are empty; only the residual heap holds events.
+    Heap,
+    /// Nothing is pending.
+    Empty,
+}
 
 /// A min-priority queue of events ordered by
 /// `(time, creation time, class rank, content key)` — an insertion-order-independent
 /// total order shared by the sequential and the partitioned engine.
 ///
-/// Implemented as a two-tier calendar/ladder scheduler (see the module docs): a
-/// near-future bucket wheel with lazily sorted buckets plus a far-future overflow
-/// heap. The popped sequence is bit-identical to a binary heap over the same key.
+/// Implemented as a three-tier calendar/ladder scheduler (see the module docs): a
+/// fine bucket wheel with lazily sorted buckets, a coarse wheel of
+/// [`WHEEL_SLOTS`]-bucket blocks and a residual heap beyond the coarse horizon. The
+/// popped sequence is bit-identical to a binary heap over the same key.
+///
+/// With `N` = [`WHEEL_SLOTS`] and `C = cursor / N`, the tiers hold:
+/// `current` the buckets `<= cursor`, the fine ring the buckets `(cursor, cursor + N]`,
+/// the coarse ring the blocks `(C, C + N]` and the heap the blocks `> C + N`.
 #[derive(Debug)]
 pub struct EventQueue {
     /// The current bucket's not-yet-popped events, sorted **descending** by key so
@@ -357,16 +478,19 @@ pub struct EventQueue {
     current: Vec<Event>,
     /// Absolute index (`at / bucket_ns`) of the bucket `current` is draining.
     cursor: u64,
-    /// Future buckets, by absolute index modulo [`WHEEL_SLOTS`]; unsorted. Only
-    /// absolute indices in `(cursor, cursor + WHEEL_SLOTS)` live here, so a ring slot
-    /// holds events of exactly one absolute bucket.
-    wheel: Vec<Vec<Event>>,
-    /// Bitmap of non-empty ring slots (fast next-bucket scans).
-    occupied: [u64; WHEEL_WORDS],
-    /// Total events parked in `wheel`.
-    wheel_len: usize,
-    /// Far-future tier: events at or beyond the wheel horizon, min-first.
-    overflow: BinaryHeap<Reverse<Event>>,
+    /// Future buckets `(cursor, cursor + N]`, by bucket index; unsorted. The ring's
+    /// N slots hold N buckets because the current bucket lives in `current`.
+    fine: Ring,
+    /// Future blocks `(cursor / N, cursor / N + N]`, by block index; unsorted.
+    coarse: Ring,
+    /// Earliest firing time in each occupied coarse slot, so `peek_time` never scans
+    /// a block.
+    coarse_min: Vec<SimTime>,
+    /// Capacity recycled from the last spilled coarse block, handed to the next coarse
+    /// slot that fills up.
+    spare: Vec<Event>,
+    /// Residual tier: events beyond the coarse horizon, min-first.
+    heap: BinaryHeap<Reverse<Event>>,
     /// Bucket width in nanoseconds (≥ 1).
     bucket_ns: u64,
     len: usize,
@@ -403,10 +527,11 @@ impl EventQueue {
         EventQueue {
             current: Vec::new(),
             cursor: 0,
-            wheel: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
-            occupied: [0; WHEEL_WORDS],
-            wheel_len: 0,
-            overflow: BinaryHeap::new(),
+            fine: Ring::new(),
+            coarse: Ring::new(),
+            coarse_min: vec![SimTime::ZERO; WHEEL_SLOTS],
+            spare: Vec::new(),
+            heap: BinaryHeap::new(),
             bucket_ns: width.as_nanos().max(1),
             len: 0,
             next_seq: 0,
@@ -429,12 +554,9 @@ impl EventQueue {
         }
         let mut all: Vec<Event> = Vec::with_capacity(self.len);
         all.append(&mut self.current);
-        for slot in self.wheel.iter_mut() {
-            all.append(slot);
-        }
-        all.extend(self.overflow.drain().map(|Reverse(e)| e));
-        self.occupied = [0; WHEEL_WORDS];
-        self.wheel_len = 0;
+        self.fine.drain_into(&mut all);
+        self.coarse.drain_into(&mut all);
+        all.extend(self.heap.drain().map(|Reverse(e)| e));
         self.bucket_ns = width;
         self.cursor = self.now.as_nanos() / width;
         self.len = 0;
@@ -472,9 +594,13 @@ impl EventQueue {
         self.stats.peak_pending = self.stats.peak_pending.max(self.len as u64);
     }
 
+    fn bucket_of(&self, ev: &Event) -> u64 {
+        ev.at.as_nanos() / self.bucket_ns
+    }
+
     /// Place an event in the tier its firing time selects.
     fn insert(&mut self, ev: Event) {
-        let b = ev.at.as_nanos() / self.bucket_ns;
+        let b = self.bucket_of(&ev);
         if b <= self.cursor {
             // Lands in (or before) the bucket currently being drained: binary-search
             // into the sorted remaining run. `current` is descending, so the prefix
@@ -484,82 +610,128 @@ impl EventQueue {
             let key = ev.key();
             let idx = self.current.partition_point(|e| e.key() > key);
             self.current.insert(idx, ev);
-        } else if b < self.cursor + WHEEL_SLOTS as u64 {
-            let slot = (b % WHEEL_SLOTS as u64) as usize;
-            self.wheel[slot].push(ev);
-            self.occupied[slot / 64] |= 1u64 << (slot % 64);
-            self.wheel_len += 1;
+        } else if b - self.cursor <= RING {
+            self.fine.push(b, ev);
+        } else if b / RING - self.cursor / RING <= RING {
+            self.push_coarse(b / RING, ev);
         } else {
-            self.overflow.push(Reverse(ev));
+            self.heap.push(Reverse(ev));
         }
         self.len += 1;
     }
 
-    /// Absolute index of the next non-empty wheel bucket strictly after the cursor.
-    ///
-    /// Ring slots only ever hold absolute indices in `(cursor, cursor + WHEEL_SLOTS)`,
-    /// so the first set bit at ring distance `d` is exactly bucket `cursor + d`.
-    fn next_occupied_abs(&self) -> Option<u64> {
-        if self.wheel_len == 0 {
-            return None;
-        }
-        let n = WHEEL_SLOTS as u64;
-        let mut d = 1u64;
-        while d < n {
-            let slot = ((self.cursor + d) % n) as usize;
-            let word = self.occupied[slot / 64];
-            if word == 0 {
-                // Skip to the next bitmap word boundary.
-                d += 64 - (slot % 64) as u64;
-                continue;
+    fn push_coarse(&mut self, block: u64, ev: Event) {
+        let slot = Ring::slot(block);
+        if self.coarse.slots[slot].is_empty() {
+            if self.coarse.slots[slot].capacity() == 0 {
+                std::mem::swap(&mut self.coarse.slots[slot], &mut self.spare);
             }
-            if word & (1u64 << (slot % 64)) != 0 {
-                return Some(self.cursor + d);
-            }
-            d += 1;
+            self.coarse_min[slot] = ev.at;
+        } else {
+            self.coarse_min[slot] = self.coarse_min[slot].min(ev.at);
         }
-        None
+        self.coarse.push(block, ev);
     }
 
-    /// Make the earliest non-empty bucket current: take its wheel slot, spill every
-    /// overflow event that belongs to it, and sort the union by the full key. Returns
-    /// false if no events are pending anywhere.
-    fn advance(&mut self) -> bool {
-        debug_assert!(self.current.is_empty());
-        let wheel_next = self.next_occupied_abs();
-        let over_next = self
-            .overflow
-            .peek()
-            .map(|Reverse(e)| e.at.as_nanos() / self.bucket_ns);
-        let b = match (wheel_next, over_next) {
-            (Some(w), Some(o)) => w.min(o),
-            (Some(w), None) => w,
-            (None, Some(o)) => o,
-            (None, None) => return false,
-        };
-        self.cursor = b;
-        let slot = (b % WHEEL_SLOTS as u64) as usize;
-        if self.occupied[slot / 64] & (1u64 << (slot % 64)) != 0 {
-            // By the ring invariant this slot holds exactly bucket `b`'s events.
-            std::mem::swap(&mut self.current, &mut self.wheel[slot]);
-            self.occupied[slot / 64] &= !(1u64 << (slot % 64));
-            self.wheel_len -= self.current.len();
-        }
-        let bucket_end = (b + 1).saturating_mul(self.bucket_ns);
-        while let Some(Reverse(e)) = self.overflow.peek() {
-            if e.at.as_nanos() >= bucket_end {
+    /// Move the cursor forward to bucket `cursor`, then move every heap event the
+    /// coarse horizon `(cursor / N, cursor / N + N]` now covers into the coarse ring.
+    /// No caller moves the cursor to within `N` buckets of a heap event, so heap
+    /// events always pass through the coarse ring, never straight into the fine one.
+    fn set_cursor(&mut self, cursor: u64) {
+        debug_assert!(cursor >= self.cursor);
+        self.cursor = cursor;
+        let horizon = cursor / RING + RING;
+        while let Some(Reverse(e)) = self.heap.peek() {
+            let block = self.bucket_of(e) / RING;
+            if block > horizon {
                 break;
             }
-            let Reverse(e) = self.overflow.pop().expect("peeked overflow event");
-            self.current.push(e);
-            self.stats.overflow_migrations += 1;
+            let Reverse(e) = self.heap.pop().expect("peeked heap event");
+            self.push_coarse(block, e);
         }
-        // Lazy in-bucket sort: descending, so pops come off the tail. Keys are
-        // unique (seq fallback), so stability is irrelevant; caching the 41-byte
-        // keys beats recomputing the content key O(k log k) times.
-        self.current.sort_by_cached_key(|e| Reverse(e.key()));
-        self.stats.buckets_sorted += 1;
-        true
+    }
+
+    /// Where the earliest pending event outside `current` lives.
+    fn next(&self) -> Next {
+        let fine = self.fine.next_after(self.cursor);
+        match self.coarse.next_after(self.cursor / RING) {
+            Some(block) if fine.is_none_or(|b| block * RING <= b) => Next::Block { block, fine },
+            _ => match fine {
+                Some(b) => Next::Bucket(b),
+                None if self.heap.is_empty() => Next::Empty,
+                None => Next::Heap,
+            },
+        }
+    }
+
+    /// Spill coarse block `block` into the fine ring: the cursor steps to the bucket
+    /// just before the block, which makes the fine ring's window exactly the block.
+    fn spill(&mut self, block: u64) {
+        self.set_cursor(block * RING - 1);
+        let mut events = Vec::new();
+        self.coarse.take(block, &mut events);
+        self.stats.overflow_migrations += events.len() as u64;
+        for ev in events.drain(..) {
+            let b = self.bucket_of(&ev);
+            self.fine.push(b, ev);
+        }
+        self.spare = events;
+        debug_assert!(self.tiers_consistent(), "tier invariants broken by a spill");
+    }
+
+    /// Make the earliest non-empty bucket current and sort it by the full key.
+    /// Returns false if no events are pending anywhere.
+    fn advance(&mut self) -> bool {
+        debug_assert!(self.current.is_empty());
+        loop {
+            match self.next() {
+                Next::Block { block, .. } => self.spill(block),
+                Next::Bucket(b) => {
+                    self.set_cursor(b);
+                    self.fine.take(b, &mut self.current);
+                    // Lazy in-bucket sort: descending, so pops come off the tail. Keys
+                    // are unique (seq fallback), so stability is irrelevant; caching
+                    // the 41-byte keys beats recomputing the content key O(k log k)
+                    // times.
+                    self.current.sort_by_cached_key(|e| Reverse(e.key()));
+                    self.stats.buckets_sorted += 1;
+                    return true;
+                }
+                Next::Heap => {
+                    // Jump to the last bucket of the block two before the heap
+                    // minimum's: the coarse horizon then covers that block, while
+                    // the fine ring ends just short of it.
+                    let Reverse(e) = self.heap.peek().expect("heap is non-empty");
+                    let block = self.bucket_of(e) / RING;
+                    self.set_cursor((block - 1) * RING - 1);
+                }
+                Next::Empty => return false,
+            }
+        }
+    }
+
+    /// True if every tier holds only the buckets its invariant allows (see
+    /// [`EventQueue`]) and the counts add up. Linear in the pending events; checked
+    /// by `debug_assert!` at each spill.
+    fn tiers_consistent(&self) -> bool {
+        let block = |e: &Event| self.bucket_of(e) / RING;
+        let base = self.cursor / RING;
+        self.current
+            .iter()
+            .all(|e| self.bucket_of(e) <= self.cursor)
+            && self.fine.holds_only(self.cursor, |e| self.bucket_of(e))
+            && self.coarse.holds_only(base, block)
+            && self.coarse.slots.iter().enumerate().all(|(slot, evs)| {
+                evs.iter()
+                    .map(|e| e.at)
+                    .min()
+                    .is_none_or(|m| m == self.coarse_min[slot])
+            })
+            && self
+                .heap
+                .peek()
+                .is_none_or(|Reverse(e)| block(e) > base + RING)
+            && self.len == self.current.len() + self.fine.len + self.coarse.len + self.heap.len()
     }
 
     /// Remove and return the earliest event.
@@ -605,24 +777,26 @@ impl EventQueue {
         if let Some(ev) = self.current.last() {
             return Some(ev.at);
         }
-        // The current run is drained: the earliest event is the earliest firing time
-        // in the next non-empty bucket (its wheel slot is still unsorted) or the
-        // overflow minimum, whichever is smaller. Later buckets start later than
-        // either, so this scan is exact.
-        let wheel_min = self.next_occupied_abs().map(|b| {
-            let slot = (b % WHEEL_SLOTS as u64) as usize;
-            self.wheel[slot]
+        // The current run is drained: the earliest event is in the next occupied fine
+        // bucket (unsorted, so scan it), or — only when a coarse block starts at or
+        // before that bucket — possibly in that block, whose minimum is kept. Later
+        // buckets and blocks start later than either, and the heap only matters when
+        // both rings are empty.
+        let bucket_min = |b: u64| {
+            self.fine.slots[Ring::slot(b)]
                 .iter()
                 .map(|e| e.at)
                 .min()
                 .expect("occupied slot is non-empty")
-        });
-        let over_min = self.overflow.peek().map(|Reverse(e)| e.at);
-        match (wheel_min, over_min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (Some(a), None) => Some(a),
-            (None, Some(b)) => Some(b),
-            (None, None) => None,
+        };
+        match self.next() {
+            Next::Bucket(b) => Some(bucket_min(b)),
+            Next::Block { block, fine } => {
+                let block_min = self.coarse_min[Ring::slot(block)];
+                Some(fine.map_or(block_min, |b| block_min.min(bucket_min(b))))
+            }
+            Next::Heap => self.heap.peek().map(|Reverse(e)| e.at),
+            Next::Empty => None,
         }
     }
 
@@ -789,10 +963,10 @@ mod tests {
     }
 
     #[test]
-    fn far_future_events_cross_the_overflow_tier() {
-        // A tiny bucket width forces everything beyond ~WHEEL_SLOTS ns into the
-        // overflow heap; pops must still come out in exact key order, and the
-        // telemetry must show the migrations.
+    fn far_future_events_cross_the_far_tiers() {
+        // A tiny bucket width forces everything beyond WHEEL_SLOTS ns into the coarse
+        // ring or the residual heap; pops must still come out in exact key order, and
+        // the telemetry must show the migrations.
         let mut q = EventQueue::with_bucket_width(SimTime::from_nanos(1));
         let times: Vec<u64> = vec![5, 2_000, 1_000_000, 3, 70_000, 2_000_000, 1];
         for &t in &times {
@@ -812,6 +986,64 @@ mod tests {
             stats.overflow_migrations >= 4,
             "expected far-future events to migrate, got {stats:?}"
         );
+    }
+
+    #[test]
+    fn coarse_block_spills_before_its_first_bucket() {
+        // At 1 ns buckets the fine ring covers the 1024 buckets after the cursor and a
+        // coarse block is 1024 buckets. From cursor 0, bucket 1024 (the first of block
+        // 1) is in the fine ring while 1500 (same block) is in the coarse ring: the
+        // block must spill before bucket 1024 becomes current, or 1500 would be
+        // stranded behind the cursor.
+        let mut q = EventQueue::with_bucket_width(SimTime::from_nanos(1));
+        q.schedule(SimTime::from_nanos(1_500), timer(1));
+        q.schedule(SimTime::from_nanos(1_024), timer(2));
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(1_024)));
+        let first = q.pop().unwrap();
+        assert_eq!(first.at.as_nanos(), 1_024);
+        assert_eq!(q.stats().overflow_migrations, 1, "block spilled first");
+        q.set_now(first.at);
+        q.schedule(SimTime::from_nanos(1_900), timer(3)); // cursor 1024: fine
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(1_500)));
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop())
+            .map(|e| e.at.as_nanos())
+            .collect();
+        assert_eq!(order, vec![1_500, 1_900]);
+    }
+
+    #[test]
+    fn events_beyond_the_coarse_horizon_round_trip_the_heap() {
+        // At 1 ns buckets the coarse ring reaches ~1.05 ms; events past it wait in the
+        // residual heap, pass through the coarse ring and spill into the fine ring,
+        // including after the cursor jumps over empty rings — up to the very last
+        // nanosecond, whose block index arithmetic must not overflow. Pushes between
+        // pops land behind, inside and beyond each new horizon.
+        let mut q = EventQueue::with_bucket_width(SimTime::from_nanos(1));
+        let mut pending: Vec<u64> =
+            vec![5, 3_000_000, 2_000_000_000, u64::MAX, 3_000_001, 1_048_577];
+        for &t in &pending {
+            q.schedule(SimTime::from_nanos(t), timer(t));
+        }
+        let mut popped = Vec::new();
+        let mut far = pending.iter().filter(|&&t| t > 1_024).count() as u64;
+        while let Some(peek) = q.peek_time() {
+            let ev = q.pop().unwrap();
+            assert_eq!(ev.at, peek, "peek_time disagrees with pop");
+            q.set_now(ev.at);
+            popped.push(ev.at.as_nanos());
+            if popped.len() == 3 {
+                for t in [ev.at.as_nanos() + 10, ev.at.as_nanos() + 40_000_000] {
+                    q.schedule(SimTime::from_nanos(t), timer(t));
+                    pending.push(t);
+                    far += u64::from(t - ev.at.as_nanos() > 1_024);
+                }
+            }
+        }
+        pending.sort_unstable();
+        assert_eq!(popped, pending);
+        let stats = q.stats();
+        assert_eq!(stats.pops, pending.len() as u64);
+        assert_eq!(stats.overflow_migrations, far, "each far event spills once");
     }
 
     #[test]

@@ -272,6 +272,7 @@ impl Scenario {
                     ))
                 })?;
         }
+        self.topology.validate().map_err(ScenarioError::Spec)?;
         let mut topo = self.topology.build();
         if let Some(bytes) = self.queue_capacity {
             for link in &mut topo.net.links {
@@ -926,6 +927,113 @@ mod tests {
         ] {
             assert!(msg.contains(key), "{key} missing from: {msg}");
         }
+    }
+
+    /// The error `Scenario::from_spec` reports for a spec whose topology line is
+    /// `topology = <token>`, otherwise a valid WAN scenario.
+    fn wan_spec_error(token: &str) -> String {
+        let spec = Scenario::new("a")
+            .topology(TopologySpec::Wan {
+                sites: 4,
+                hosts_per_site: 2,
+                rtt_ms: 60.0,
+                gbps: 1.0,
+                loss_rate: 0.0,
+            })
+            .to_spec()
+            .replace(
+                "topology = wan:4:2:60:1\n",
+                &format!("topology = {token}\n"),
+            );
+        assert!(spec.contains(token), "{spec}");
+        match Scenario::from_spec(&spec) {
+            Err(e @ ScenarioError::Spec(_)) => e.to_string(),
+            other => panic!("{token}: expected a spec error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn wan_spec_rejects_sites_outside_two_to_eight() {
+        for token in [
+            "wan:1:2:60:1",
+            "wan:0:2:60:1",
+            "wan:9:2:60:1",
+            "wan:1000:2:60:1",
+        ] {
+            assert!(wan_spec_error(token).contains("sites"), "{token}");
+        }
+        assert!(TopologySpec::parse("wan:8:2:60:1").is_ok());
+    }
+
+    #[test]
+    fn wan_spec_rejects_sites_without_hosts() {
+        assert!(wan_spec_error("wan:4:0:60:1").contains("host"));
+    }
+
+    #[test]
+    fn wan_spec_rejects_non_positive_or_non_finite_rtt() {
+        for token in [
+            "wan:4:2:0:1",
+            "wan:4:2:-60:1",
+            "wan:4:2:nan:1",
+            "wan:4:2:inf:1",
+        ] {
+            assert!(wan_spec_error(token).contains("RTT"), "{token}");
+        }
+    }
+
+    #[test]
+    fn wan_spec_rejects_non_positive_or_non_finite_line_rate() {
+        for token in [
+            "wan:4:2:60:0",
+            "wan:4:2:60:-1",
+            "wan:4:2:60:NaN",
+            "wan:4:2:60:inf",
+        ] {
+            assert!(wan_spec_error(token).contains("line rate"), "{token}");
+        }
+    }
+
+    #[test]
+    fn wan_spec_rejects_loss_outside_zero_to_one() {
+        for loss in ["1", "1.5", "-0.1", "nan", "inf", "-inf"] {
+            let token = format!("wan:4:2:60:1:loss={loss}");
+            assert!(wan_spec_error(&token).contains("loss"), "{token}");
+        }
+        assert!(TopologySpec::parse("wan:4:2:60:1:loss=0.999").is_ok());
+    }
+
+    #[test]
+    fn run_rejects_an_out_of_range_wan_built_in_code() {
+        // Scenarios built in code skip the parser; `run` must still return an error
+        // rather than let the topology constructor panic.
+        use pdq_netsim::Simulator;
+        use std::sync::Arc;
+
+        struct Idle;
+        impl ProtocolInstaller for Idle {
+            fn name(&self) -> String {
+                "idle".into()
+            }
+            fn label(&self) -> String {
+                "Idle".into()
+            }
+            fn install(&self, _sim: &mut Simulator) {}
+        }
+        let mut registry = ProtocolRegistry::new();
+        registry.register_instance(Arc::new(Idle));
+        let err = Scenario::new("a")
+            .protocol("idle")
+            .topology(TopologySpec::Wan {
+                sites: 1,
+                hosts_per_site: 2,
+                rtt_ms: 60.0,
+                gbps: 1.0,
+                loss_rate: 0.0,
+            })
+            .run(&registry)
+            .unwrap_err();
+        assert!(matches!(err, ScenarioError::Spec(_)), "{err}");
     }
 
     #[test]

@@ -118,6 +118,29 @@ impl TopologySpec {
         }
     }
 
+    /// Check the parameters against their documented ranges, so that a bad spec is
+    /// an error instead of a panic in [`TopologySpec::build`]. Only the WAN family
+    /// has bounds to check (see [`WanParams::validate`]).
+    pub fn validate(&self) -> Result<(), String> {
+        match *self {
+            TopologySpec::Wan {
+                sites,
+                hosts_per_site,
+                rtt_ms,
+                gbps,
+                loss_rate,
+            } => WanParams {
+                sites,
+                hosts_per_site,
+                rtt_ms,
+                gbps,
+                loss_rate,
+            }
+            .validate(),
+            _ => Ok(()),
+        }
+    }
+
     /// One-token spec form, parseable back via [`TopologySpec::parse`].
     pub fn spec_token(&self) -> String {
         match *self {
@@ -152,7 +175,8 @@ impl TopologySpec {
         }
     }
 
-    /// Parse the [`TopologySpec::spec_token`] form.
+    /// Parse the [`TopologySpec::spec_token`] form, rejecting out-of-range
+    /// parameters (see [`TopologySpec::validate`]).
     pub fn parse(s: &str) -> Result<Self, String> {
         let bad = || format!("unrecognized topology: {s:?}");
         if s == "paper_tree" {
@@ -222,6 +246,8 @@ impl TopologySpec {
         if parts.next().is_some() {
             return Err(bad());
         }
+        spec.validate()
+            .map_err(|e| format!("topology {s:?}: {e}"))?;
         Ok(spec)
     }
 }

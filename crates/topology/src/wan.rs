@@ -6,7 +6,7 @@
 //! bandwidth-delay product — and with it the damage an unpaced window burst can
 //! do — grows by four orders of magnitude. This module builds that setting:
 //!
-//! * `sites` datacenter sites (2–8 is the intended range), each a site switch
+//! * `sites` datacenter sites (2–8), each a site switch
 //!   with `hosts_per_site` hosts attached on default intra-DC access links;
 //! * a full mesh of **long-haul** duplex links between the site switches,
 //!   heterogeneous on purpose: across the site pairs, the one-way propagation
@@ -32,20 +32,24 @@ use pdq_netsim::{LinkParams, LossStream, Network, SimTime, DEFAULT_QUEUE_CAPACIT
 
 use crate::Topology;
 
-/// Parameters of a [`wan`] topology.
+/// Parameters of a [`wan`] topology. [`WanParams::validate`] states the accepted
+/// ranges.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WanParams {
-    /// Number of datacenter sites (≥ 2 for any long-haul link to exist).
+    /// Number of datacenter sites, 2–[`WanParams::MAX_SITES`] (≥ 2 for any long-haul
+    /// link to exist).
     pub sites: usize,
-    /// Hosts attached to each site switch.
+    /// Hosts attached to each site switch (≥ 1).
     pub hosts_per_site: usize,
     /// Round-trip propagation across the *longest* site pair, in milliseconds
-    /// (10–100 ms is the intended range). Shorter pairs get down to half this.
+    /// (finite and positive; 10–100 ms is the intended range). Shorter pairs get
+    /// down to half this.
     pub rtt_ms: f64,
-    /// Line rate of the *slowest* long-haul pair, in Gbit/s (1–10 is the
-    /// intended range). Faster pairs get up to twice this.
+    /// Line rate of the *slowest* long-haul pair, in Gbit/s (finite and positive;
+    /// 1–10 is the intended range). Faster pairs get up to twice this.
     pub gbps: f64,
-    /// Random loss probability on every long-haul direction (0 disables).
+    /// Random loss probability on every long-haul direction, in `[0, 1)` (0
+    /// disables).
     pub loss_rate: f64,
 }
 
@@ -61,21 +65,57 @@ impl Default for WanParams {
     }
 }
 
+impl WanParams {
+    /// Largest site count: the long-haul mesh grows with the square of the sites.
+    pub const MAX_SITES: usize = 8;
+
+    /// Check every parameter against its documented range; NaN and infinities are
+    /// out of range. [`wan`] panics on parameters this rejects, so spec-level
+    /// callers validate first and report the message instead.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(2..=Self::MAX_SITES).contains(&self.sites) {
+            return Err(format!(
+                "WAN sites must be 2..={}, got {}",
+                Self::MAX_SITES,
+                self.sites
+            ));
+        }
+        if self.hosts_per_site == 0 {
+            return Err("a WAN needs at least one host per site".into());
+        }
+        if !(self.rtt_ms.is_finite() && self.rtt_ms > 0.0) {
+            return Err(format!(
+                "WAN RTT must be a finite positive number of ms, got {}",
+                self.rtt_ms
+            ));
+        }
+        if !(self.gbps.is_finite() && self.gbps > 0.0) {
+            return Err(format!(
+                "WAN line rate must be a finite positive number of Gbit/s, got {}",
+                self.gbps
+            ));
+        }
+        if !(0.0..1.0).contains(&self.loss_rate) {
+            return Err(format!(
+                "WAN loss rate must be in [0, 1), got {}",
+                self.loss_rate
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// Build an inter-datacenter WAN topology: `sites` site switches in a full
 /// long-haul mesh, `hosts_per_site` hosts per site. See the module docs for the
 /// heterogeneity and queue-sizing rules.
+///
+/// # Panics
+///
+/// If [`WanParams::validate`] rejects `params`.
 pub fn wan(params: WanParams) -> Topology {
-    assert!(params.sites >= 2, "a WAN needs at least two sites");
-    assert!(
-        params.hosts_per_site >= 1,
-        "need at least one host per site"
-    );
-    assert!(params.rtt_ms > 0.0, "RTT must be positive");
-    assert!(params.gbps > 0.0, "line rate must be positive");
-    assert!(
-        (0.0..1.0).contains(&params.loss_rate),
-        "loss rate must be in [0, 1)"
-    );
+    if let Err(e) = params.validate() {
+        panic!("invalid WAN parameters: {e}");
+    }
 
     let mut net = Network::new();
     let mut hosts = Vec::new();

@@ -3,7 +3,7 @@
 //!
 //! This is the property the partitioned engine's shard-count invariance rests on:
 //! the scheduler may restructure *how* events are stored (bucket wheel, lazy sorts,
-//! overflow spills), but the popped order — including same-instant ties broken by
+//! coarse-block spills, residual-heap refills), but the popped order — including same-instant ties broken by
 //! `(created, class, content, seq)` and events ingested with explicit
 //! `schedule_created` stamps — must stay bit-identical to a total-order heap.
 
@@ -54,6 +54,10 @@ impl RefQueue {
 
     fn pop(&mut self) -> Option<Event> {
         self.heap.pop().map(|Reverse(e)| e)
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse(e)| e.at)
     }
 
     fn pop_window(&mut self, until: SimTime) -> Option<Event> {
@@ -114,6 +118,122 @@ fn ident(e: &Event) -> (u64, u64, u64, String) {
     )
 }
 
+/// How an op's payload `a` becomes a time at bucket width `w`: a push relative to
+/// `now` (given as the first argument), an absolute push, and a window length.
+struct Draws {
+    relative: fn(u64, u64, u64) -> u64,
+    absolute: fn(u64, u64) -> u64,
+    window: fn(u64, u64) -> u64,
+}
+
+/// Coarse-grained near-future draws (everything within 360 µs): lots of exact ties.
+const NEAR: Draws = Draws {
+    relative: |now, a, _| now + (a % 40) * 2_500,
+    absolute: |a, _| (a % 120) * 3_000,
+    window: |a, _| (a % 50) * 1_700 + 1,
+};
+
+/// Bucket-relative scales up to several seconds. The fine ring spans 1024 buckets, a
+/// coarse block 1024 buckets and the coarse ring 1024 blocks (~1–8 ms at 1–8 ns
+/// buckets), so the scales straddle the fine ring's end, cross many blocks, land on
+/// block starts, straddle the coarse horizon (heap events then refill the coarse
+/// ring as the cursor moves) and reach seconds out in the residual heap.
+fn far(a: u64, w: u64) -> u64 {
+    match a % 5 {
+        0 => a * 2 * w,
+        1 => a * 37 * w,
+        2 => a * 1_024 * w,
+        3 => (a * 2_000 + a) * w,
+        _ => a * 10_000_000,
+    }
+}
+
+/// Multi-scale draws reaching several seconds: every tier, jumps over empty rings,
+/// and windows from nanoseconds to seconds that cross block boundaries. Relative
+/// pushes on the block scale snap to the start of one of the next three blocks, so
+/// the fine ring's next bucket is often exactly a block start while the coarse ring
+/// holds later events of that block.
+const FAR: Draws = Draws {
+    relative: |now, a, w| match a % 5 {
+        2 => (now / (1_024 * w) + 1 + a % 3) * 1_024 * w,
+        _ => now + far(a, w),
+    },
+    absolute: far,
+    window: |a, w| far(a, w) + 1,
+};
+
+/// Replay `ops` against both queues; they must agree op by op — every pop, every
+/// window drain and every `peek_time` — and on the drained tail.
+fn replay(width: u64, ops: &[(u8, u64, u64, u64)], draws: &Draws) {
+    let mut cal = EventQueue::with_bucket_width(SimTime::from_nanos(width));
+    let mut reference = RefQueue::new();
+    for &(op, a, sel, c) in ops {
+        prop_assert_eq!(cal.peek_time(), reference.peek_time());
+        match op {
+            // Pushes outnumber pops ~2:1 so the queues actually fill up.
+            0..=6 => {
+                // Even ops push relative to `now`; odd ops use absolute times that
+                // may land in the past (behind `now`), which the engine never does
+                // but the queue must still order correctly (cross-shard ingests
+                // clamp to `now`, the boundary case).
+                let at = SimTime::from_nanos(if op % 2 == 0 {
+                    (draws.relative)(reference.now.as_nanos(), a, width)
+                } else {
+                    (draws.absolute)(a, width)
+                });
+                let kind = kind_for(sel, a);
+                if c == 0 {
+                    cal.schedule(at, kind.clone());
+                    reference.schedule(at, kind);
+                } else {
+                    // Explicit creation stamp, possibly before `now` — the
+                    // cross-shard ingestion path.
+                    let created = at.saturating_sub(SimTime::from_nanos(c * 1_000));
+                    cal.schedule_created(at, created, kind.clone());
+                    reference.schedule_created(at, created, kind);
+                }
+            }
+            7 => {
+                let got = cal.pop();
+                let want = reference.pop();
+                prop_assert_eq!(got.as_ref().map(ident), want.as_ref().map(ident));
+                if let Some(ev) = got {
+                    cal.set_now(ev.at);
+                    reference.set_now(ev.at);
+                }
+            }
+            _ => {
+                // Batched window drain, deliberately misaligned with the bucket
+                // width: both queues must stop at exactly the same boundary event.
+                let until =
+                    SimTime::from_nanos(reference.now.as_nanos() + (draws.window)(a, width));
+                loop {
+                    let got = cal.pop_window(until);
+                    let want = reference.pop_window(until);
+                    prop_assert_eq!(got.as_ref().map(ident), want.as_ref().map(ident));
+                    let Some(ev) = got else { break };
+                    cal.set_now(ev.at);
+                    reference.set_now(ev.at);
+                }
+            }
+        }
+        prop_assert_eq!(cal.len(), reference.heap.len());
+    }
+    // Drain to empty: the tails must match event for event.
+    loop {
+        prop_assert_eq!(cal.peek_time(), reference.peek_time());
+        let got = cal.pop();
+        let want = reference.pop();
+        prop_assert_eq!(got.as_ref().map(ident), want.as_ref().map(ident));
+        if got.is_none() {
+            break;
+        }
+    }
+    prop_assert!(cal.is_empty());
+    let stats = cal.stats();
+    prop_assert_eq!(stats.pushes, stats.pops);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -121,87 +241,24 @@ proptest! {
     /// lots of exact ties), explicit `schedule_created` stamps, single pops and
     /// batched window drains, across random bucket widths (1 ns to well past the
     /// whole schedule, so everything from per-event buckets to one-bucket-fits-all
-    /// degenerate layouts is exercised). Both queues must agree op by op.
+    /// degenerate layouts is exercised).
     #[test]
     fn calendar_queue_matches_reference_heap(
         ops in prop::collection::vec((0u8..10, 0u64..600, 0u64..12, 0u64..5), 1..300),
         width in 1u64..2_000_000,
     ) {
-        let mut cal = EventQueue::with_bucket_width(SimTime::from_nanos(width));
-        let mut reference = RefQueue::new();
-        for &(op, a, sel, c) in &ops {
-            match op {
-                // Pushes outnumber pops ~2:1 so the queues actually fill up.
-                0..=6 => {
-                    // Coarse grids force exact at-collisions; odd ops use absolute
-                    // times that may land in the past (behind `now`), which the
-                    // engine never does but the queue must still order correctly
-                    // (cross-shard ingests clamp to `now`, the boundary case).
-                    let at = if op % 2 == 0 {
-                        cal.peek_time(); // exercise peek on the cold path too
-                        SimTime::from_nanos(
-                            reference.now.as_nanos() + (a % 40) * 2_500,
-                        )
-                    } else {
-                        SimTime::from_nanos((a % 120) * 3_000)
-                    };
-                    let kind = kind_for(sel, a);
-                    if c == 0 {
-                        cal.schedule(at, kind.clone());
-                        reference.schedule(at, kind);
-                    } else {
-                        // Explicit creation stamp, possibly before `now` — the
-                        // cross-shard ingestion path.
-                        let created = at.saturating_sub(SimTime::from_nanos(c * 1_000));
-                        cal.schedule_created(at, created, kind.clone());
-                        reference.schedule_created(at, created, kind);
-                    }
-                }
-                7 => {
-                    let got = cal.pop();
-                    let want = reference.pop();
-                    prop_assert_eq!(
-                        got.as_ref().map(ident),
-                        want.as_ref().map(ident)
-                    );
-                    if let Some(ev) = got {
-                        cal.set_now(ev.at);
-                        reference.set_now(ev.at);
-                    }
-                }
-                _ => {
-                    // Batched window drain, deliberately misaligned with the
-                    // bucket width: both queues must stop at exactly the same
-                    // boundary event.
-                    let until = SimTime::from_nanos(
-                        reference.now.as_nanos() + (a % 50) * 1_700 + 1,
-                    );
-                    loop {
-                        let got = cal.pop_window(until);
-                        let want = reference.pop_window(until);
-                        prop_assert_eq!(
-                            got.as_ref().map(ident),
-                            want.as_ref().map(ident)
-                        );
-                        let Some(ev) = got else { break };
-                        cal.set_now(ev.at);
-                        reference.set_now(ev.at);
-                    }
-                }
-            }
-            prop_assert_eq!(cal.len(), reference.heap.len());
-        }
-        // Drain to empty: the tails must match event for event.
-        loop {
-            let got = cal.pop();
-            let want = reference.pop();
-            prop_assert_eq!(got.as_ref().map(ident), want.as_ref().map(ident));
-            if got.is_none() {
-                break;
-            }
-        }
-        prop_assert!(cal.is_empty());
-        let stats = cal.stats();
-        prop_assert_eq!(stats.pushes, stats.pops);
+        replay(width, &ops, &NEAR);
+    }
+
+    /// The same interleavings with times from nanoseconds to seconds at 1–8 ns
+    /// buckets: events pass through all three tiers (fine ring, coarse ring,
+    /// residual heap), the cursor jumps when both rings are empty, and windows
+    /// drain across coarse-block boundaries.
+    #[test]
+    fn far_future_draws_match_reference_heap(
+        ops in prop::collection::vec((0u8..10, 0u64..600, 0u64..12, 0u64..5), 1..300),
+        width in 1u64..=8,
+    ) {
+        replay(width, &ops, &FAR);
     }
 }
