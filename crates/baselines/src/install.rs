@@ -1,7 +1,7 @@
-//! TCP, RCP and D3 as pluggable protocols: thin [`pdq_scenario::ProtocolInstaller`]
-//! wrappers over [`crate::install_tcp`] / [`crate::install_rcp`] /
-//! [`crate::install_d3`], and [`register_baselines`] adding the `tcp`, `rcp` and `d3`
-//! families to a [`pdq_scenario::ProtocolRegistry`].
+//! TCP, RCP and D3 as pluggable protocols: [`pdq_scenario::ProtocolInstaller`]s
+//! (the one install path behind [`crate::install_tcp`] / [`crate::install_rcp`] /
+//! [`crate::install_d3`], paced or not), and [`register_baselines`] adding the
+//! `tcp`, `rcp` and `d3` families to a [`pdq_scenario::ProtocolRegistry`].
 //!
 //! All three families take no arguments except `d3(noquench)`, which disables D3's
 //! quenching of hopeless deadline flows.
@@ -21,8 +21,8 @@ use pdq_netsim::{PacerConfig, Simulator};
 use pdq_scenario::{InstallerHandle, ProtocolInstaller, ProtocolRegistry, SimBackend};
 
 use crate::{
-    install_d3, install_rcp, install_tcp, D3Params, D3SwitchController, RateHostAgent, RateMode,
-    RcpParams, RcpSwitchController, TcpParams,
+    install_tcp, D3Params, D3SwitchController, RateHostAgent, RateMode, RcpParams,
+    RcpSwitchController, TcpParams,
 };
 
 /// Installs TCP Reno with the paper's small minimum RTO on every host.
@@ -77,18 +77,9 @@ impl ProtocolInstaller for RcpInstaller {
     }
 
     fn install(&self, sim: &mut Simulator) {
-        match self.pacer {
-            None => install_rcp(sim, &self.params),
-            Some(config) => {
-                sim.install_agents(move |_, _| {
-                    Box::new(RateHostAgent::new(RateMode::Rcp).with_pacer(config))
-                });
-                let p = self.params.clone();
-                sim.install_switch_controllers(move |_, _| {
-                    Box::new(RcpSwitchController::new(p.clone()))
-                });
-            }
-        }
+        install_rate_hosts(sim, RateMode::Rcp, self.pacer);
+        let p = self.params.clone();
+        sim.install_switch_controllers(move |_, _| Box::new(RcpSwitchController::new(p.clone())));
     }
 
     fn with_pacing(&self, config: PacerConfig) -> Option<InstallerHandle> {
@@ -147,19 +138,10 @@ impl ProtocolInstaller for D3Installer {
     }
 
     fn install(&self, sim: &mut Simulator) {
-        match self.pacer {
-            None => install_d3(sim, &self.params, self.quenching),
-            Some(config) => {
-                let quenching = self.quenching;
-                sim.install_agents(move |_, _| {
-                    Box::new(RateHostAgent::new(RateMode::D3 { quenching }).with_pacer(config))
-                });
-                let p = self.params.clone();
-                sim.install_switch_controllers(move |_, _| {
-                    Box::new(D3SwitchController::new(p.clone()))
-                });
-            }
-        }
+        let quenching = self.quenching;
+        install_rate_hosts(sim, RateMode::D3 { quenching }, self.pacer);
+        let p = self.params.clone();
+        sim.install_switch_controllers(move |_, _| Box::new(D3SwitchController::new(p.clone())));
     }
 
     fn with_pacing(&self, config: PacerConfig) -> Option<InstallerHandle> {
@@ -180,6 +162,18 @@ impl ProtocolInstaller for D3Installer {
         // back to the leftover share — so both variants idealize the same way.
         Some(FluidModel::D3)
     }
+}
+
+/// Install a rate-controlled host agent speaking `mode` on every host, each sender
+/// behind an RFC 9002-style token bucket when `pacer` is set.
+fn install_rate_hosts(sim: &mut Simulator, mode: RateMode, pacer: Option<PacerConfig>) {
+    sim.install_agents(move |_, _| {
+        let agent = RateHostAgent::new(mode);
+        Box::new(match pacer {
+            Some(config) => agent.with_pacer(config),
+            None => agent,
+        })
+    });
 }
 
 /// Register the `tcp`, `rcp` and `d3` protocol families.

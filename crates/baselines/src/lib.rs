@@ -30,6 +30,7 @@ pub use receiver::EchoReceiver;
 pub use tcp::{TcpHostAgent, TcpParams, TcpSender, TcpStatus};
 
 use pdq_netsim::Simulator;
+use pdq_scenario::ProtocolInstaller;
 
 /// Install plain TCP Reno on every host (switches stay dumb FIFO tail-drop).
 pub fn install_tcp(sim: &mut Simulator, params: &TcpParams) {
@@ -40,15 +41,20 @@ pub fn install_tcp(sim: &mut Simulator, params: &TcpParams) {
 /// Install RCP: rate-paced hosts plus an exact-flow-counting rate controller on every
 /// switch egress link.
 pub fn install_rcp(sim: &mut Simulator, params: &RcpParams) {
-    sim.install_agents(|_, _| Box::new(RateHostAgent::new(RateMode::Rcp)));
-    let p = params.clone();
-    sim.install_switch_controllers(move |_, _| Box::new(RcpSwitchController::new(p.clone())));
+    RcpInstaller {
+        params: params.clone(),
+        pacer: None,
+    }
+    .install(sim);
 }
 
 /// Install D3: deadline-request hosts plus the first-come-first-reserve allocator on
 /// every switch egress link.
 pub fn install_d3(sim: &mut Simulator, params: &D3Params, quenching: bool) {
-    sim.install_agents(move |_, _| Box::new(RateHostAgent::new(RateMode::D3 { quenching })));
-    let p = params.clone();
-    sim.install_switch_controllers(move |_, _| Box::new(D3SwitchController::new(p.clone())));
+    D3Installer {
+        params: params.clone(),
+        quenching,
+        pacer: None,
+    }
+    .install(sim);
 }

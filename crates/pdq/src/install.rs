@@ -212,8 +212,14 @@ fn parse_discipline(s: &str) -> Result<Discipline, String> {
         return Ok(Discipline::EstimatedSize { update_bytes });
     }
     if let Some(v) = s.strip_prefix("aging=") {
-        let alpha = v.parse().map_err(|_| format!("bad aging rate {v:?}"))?;
-        return Ok(Discipline::Aging { alpha });
+        // A NaN, infinite or negative rate would make every criticality NaN or
+        // turn aging into its opposite.
+        return match v.parse::<f64>() {
+            Ok(alpha) if alpha.is_finite() && alpha >= 0.0 => Ok(Discipline::Aging { alpha }),
+            _ => Err(format!(
+                "bad aging rate in {s:?} (want a finite alpha >= 0)"
+            )),
+        };
     }
     Err(format!(
         "unknown discipline {s:?} (want exact, random, estimate=<bytes> or aging=<alpha>)"
@@ -299,6 +305,33 @@ mod tests {
         assert!(reg.resolve("mpdq(0)").is_err());
         assert!(reg.resolve("pdq(full;psychic)").is_err());
         assert!(reg.resolve("cpdq(3)").is_err());
+    }
+
+    #[test]
+    fn aging_rate_must_be_finite_and_non_negative() {
+        let reg = &mut ProtocolRegistry::new();
+        register_pdq(reg);
+        for token in [
+            "aging=nan",
+            "aging=NaN",
+            "aging=inf",
+            "aging=-inf",
+            "aging=-1",
+            "aging=x",
+        ] {
+            let err = reg
+                .resolve(&format!("pdq(full;{token})"))
+                .err()
+                .unwrap_or_else(|| panic!("{token} accepted"))
+                .to_string();
+            assert!(err.contains(token), "{token}: {err}");
+        }
+        for token in ["aging=0", "aging=0.5", "aging=3"] {
+            assert!(
+                reg.resolve(&format!("pdq(full;{token})")).is_ok(),
+                "{token}"
+            );
+        }
     }
 
     #[test]

@@ -11,12 +11,13 @@
 //! preserved summary.
 //!
 //! The on-disk layout is one plain-text record file per cell under the cache
-//! directory (`<fingerprint>.record`, hand-rolled `key = value` lines like the
-//! scenario spec format — no serde). Writes go to a temporary file first and are
-//! published with an atomic rename, so a process killed mid-store never leaves a
-//! torn record — at worst a stale `.tmp-*` file that [`ResultCache::clear`]
-//! sweeps up. Lookups verify the stored canonical spec against the request, so
-//! even a fingerprint collision can never produce a false hit; torn, corrupt or
+//! directory (`<fingerprint>.record`): `key = value` lines in the scenario spec's
+//! own codec (the `kv` module; no serde), with the canonical spec escaped onto one
+//! `request_spec` line. Writes go to a temporary file first and are published
+//! with an atomic rename, so a process killed mid-store never leaves a torn
+//! record — at worst a stale `.tmp-*` file that [`ResultCache::clear`] sweeps up.
+//! Lookups verify the stored canonical spec against the request, so even a
+//! fingerprint collision can never produce a false hit; torn, corrupt or
 //! colliding records all read as misses and are simply recomputed.
 
 use std::fs;
@@ -24,6 +25,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::kv::{escape, unescape, Kv, Writer};
 use crate::scenario::Scenario;
 use crate::summary::RunSummary;
 
@@ -145,10 +147,12 @@ impl ResultCache {
     /// called them.
     pub fn lookup(&self, scenario: &Scenario) -> Option<RunSummary> {
         let text = fs::read_to_string(self.record_path(scenario)).ok()?;
-        let (stored_spec, mut summary) = parse_record(&text).ok()?;
+        let record = Kv::read(&text).ok()?;
+        let stored_spec = unescape(record.require("request_spec").ok()?).ok()?;
         if stored_spec != canonical_request_spec(scenario) {
             return None;
         }
+        let mut summary = RunSummary::from_kv(&record).ok()?;
         summary.scenario = scenario.name.clone();
         Some(summary)
     }
@@ -160,10 +164,10 @@ impl ResultCache {
     pub fn store(&self, scenario: &Scenario, summary: &RunSummary) -> io::Result<()> {
         static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
         let fingerprint = request_fingerprint(scenario);
-        let mut record = format!(
-            "# pdq cache record v1\nrequest_fingerprint = {fingerprint}\nrequest_spec = {}\n",
-            escape(&canonical_request_spec(scenario))
-        );
+        let mut w = Writer::new("pdq cache record v1");
+        w.push("request_fingerprint", &fingerprint);
+        w.push("request_spec", escape(&canonical_request_spec(scenario)));
+        let mut record = w.finish();
         // Canonicalize the stored name too: the record's bytes are identical
         // whichever sweep cell produced it.
         let mut canonical = summary.clone();
@@ -191,19 +195,11 @@ impl ResultCache {
             if entry.path().extension().is_some_and(|e| e == "record") {
                 stats.records += 1;
                 stats.bytes += entry.metadata()?.len();
-                let backend = fs::read_to_string(entry.path())
-                    .ok()
-                    .and_then(|text| {
-                        text.lines()
-                            .filter_map(|l| l.split_once('='))
-                            .find(|(k, _)| k.trim() == "backend")
-                            .map(|(_, v)| v.trim().to_string())
-                    })
-                    .unwrap_or_default();
-                match backend.as_str() {
-                    "packet" => stats.packet_records += 1,
-                    "flow" => stats.flow_records += 1,
-                    "fluid" => stats.fluid_records += 1,
+                let text = fs::read_to_string(entry.path()).unwrap_or_default();
+                match Kv::read(&text).ok().and_then(|r| r.get("backend")) {
+                    Some("packet") => stats.packet_records += 1,
+                    Some("flow") => stats.flow_records += 1,
+                    Some("fluid") => stats.fluid_records += 1,
                     _ => {}
                 }
             }
@@ -229,42 +225,6 @@ impl ResultCache {
         }
         Ok(removed)
     }
-}
-
-/// Escape a multi-line spec into a single record line (`\` → `\\`, newline → `\n`).
-fn escape(text: &str) -> String {
-    text.replace('\\', "\\\\").replace('\n', "\\n")
-}
-
-/// Invert [`escape`]. Errors on a dangling trailing backslash or unknown escape.
-fn unescape(text: &str) -> Result<String, String> {
-    let mut out = String::with_capacity(text.len());
-    let mut chars = text.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('\\') => out.push('\\'),
-            Some('n') => out.push('\n'),
-            other => return Err(format!("bad escape \\{other:?} in cache record")),
-        }
-    }
-    Ok(out)
-}
-
-/// Parse a record file into its stored canonical spec and summary.
-fn parse_record(text: &str) -> Result<(String, RunSummary), String> {
-    let spec_line = text
-        .lines()
-        .filter_map(|l| l.trim().split_once('='))
-        .find(|(k, _)| k.trim() == "request_spec")
-        .map(|(_, v)| v.trim().to_string())
-        .ok_or_else(|| "missing key request_spec".to_string())?;
-    let spec = unescape(&spec_line)?;
-    let summary = RunSummary::from_record(text)?;
-    Ok((spec, summary))
 }
 
 /// One sweep cell as a JSONL line: the headline summary fields plus the cell's
@@ -364,15 +324,6 @@ mod tests {
                 "{different:?}"
             );
         }
-    }
-
-    #[test]
-    fn escape_round_trips() {
-        for text in ["", "plain", "a\nb", "back\\slash\\n", "\\", "trail\n"] {
-            assert_eq!(unescape(&escape(text)).unwrap(), text, "{text:?}");
-        }
-        assert!(unescape("dangling\\").is_err());
-        assert!(unescape("bad\\q").is_err());
     }
 
     #[test]

@@ -8,6 +8,7 @@ use pdq_netsim::{FlowSpec, LinkId, SimConfig, SimResults, SimTime, Simulator, Tr
 use pdq_topology::{EcmpRouter, Partition, Topology};
 
 use crate::backend::SimBackend;
+use crate::kv::{Kv, Writer};
 use crate::protocol::{ProtocolInstaller, ProtocolRegistry, RegistryError};
 use crate::spec::{TopologySpec, WorkloadSpec};
 use crate::summary::RunSummary;
@@ -321,203 +322,123 @@ impl Scenario {
         Ok(summary)
     }
 
-    /// Serialize to the plain-text spec format (`key = value` lines, `#` comments).
-    /// The `backend` key is only written for non-default (flow/fluid) backends, so
-    /// the serialization of every pre-backend spec is byte-identical to before.
+    /// Serialize to the plain-text spec format (`key = value` lines, `#` comments;
+    /// see the `kv` module). Keys whose value is the default (`backend = packet`,
+    /// `engine_threads = 1`, pacing off, no queue override, no tracing) are not
+    /// written, so adding such a key kept every older spec byte-identical.
     pub fn to_spec(&self) -> String {
-        let mut pairs: Vec<(String, String)> = vec![
-            ("scenario".into(), self.name.clone()),
-            ("protocol".into(), self.protocol.clone()),
-            ("seed".into(), self.seed.to_string()),
-            ("stop_at_ns".into(), self.stop_at.as_nanos().to_string()),
-            ("topology".into(), self.topology.spec_token()),
-        ];
+        let mut w = Writer::new("pdq scenario spec v1");
+        w.push("scenario", &self.name);
+        w.push("protocol", &self.protocol);
         if self.backend != SimBackend::default() {
-            pairs.insert(2, ("backend".into(), self.backend.token().into()));
+            w.push("backend", self.backend.token());
         }
-        // Like `backend`, the `engine_threads` key is only written when it deviates
-        // from the sequential default, keeping older specs byte-identical.
+        w.push("seed", self.seed);
+        w.push("stop_at_ns", self.stop_at.as_nanos());
+        w.push("topology", self.topology.spec_token());
         if self.engine_threads != 1 {
-            pairs.push(("engine_threads".into(), self.engine_threads.to_string()));
+            w.push("engine_threads", self.engine_threads);
         }
-        // Same rule for the pacing and queue-override axes: default-off scenarios
-        // serialize exactly as they did before the keys existed.
         if self.pacing {
-            pairs.push(("pacing".into(), "on".into()));
+            w.push("pacing", "on");
         }
         if let Some(bytes) = self.queue_capacity {
-            pairs.push(("topology.queue_bytes".into(), bytes.to_string()));
+            w.push("topology.queue_bytes", bytes);
         }
-        self.workload.write_keys(&mut pairs);
+        self.workload.write_keys(&mut w);
         if self.trace != TraceConfig::default() {
-            pairs.push((
-                "trace.interval_ns".into(),
-                self.trace.interval.as_nanos().to_string(),
-            ));
+            w.push("trace.interval_ns", self.trace.interval.as_nanos());
             if !self.trace.links.is_empty() {
                 let links: Vec<String> = self.trace.links.iter().map(|l| l.0.to_string()).collect();
-                pairs.push(("trace.links".into(), links.join(",")));
+                w.push("trace.links", links.join(","));
             }
             if self.trace.flows {
-                pairs.push(("trace.flows".into(), "true".into()));
+                w.push("trace.flows", true);
             }
         }
-        let mut out = String::from("# pdq scenario spec v1\n");
-        for (k, v) in pairs {
-            out.push_str(&k);
-            out.push_str(" = ");
-            out.push_str(&v);
-            out.push('\n');
-        }
-        out
+        w.finish()
     }
 
     /// Parse the [`Scenario::to_spec`] format. Unknown keys are rejected so typos
     /// fail loudly rather than silently changing the run.
     pub fn from_spec(text: &str) -> Result<Self, ScenarioError> {
-        let err = |msg: String| ScenarioError::Spec(msg);
-        let mut pairs: Vec<(String, String)> = Vec::new();
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let (k, v) = line
-                .split_once('=')
-                .ok_or_else(|| err(format!("line {}: expected key = value", lineno + 1)))?;
-            pairs.push((k.trim().to_string(), v.trim().to_string()));
-        }
-        let get = |key: &str| -> Option<String> {
-            pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone())
-        };
-        let require = |key: &str| -> Result<String, ScenarioError> {
-            get(key).ok_or_else(|| err(format!("missing key {key}")))
-        };
+        parse_spec(text).map_err(ScenarioError::Spec)
+    }
+}
 
-        let name = require("scenario")?;
-        let protocol = require("protocol")?;
-        let backend = match get("backend") {
-            None => SimBackend::default(),
-            Some(v) => v.parse().map_err(err)?,
-        };
-        let seed: u64 = require("seed")?
-            .parse()
-            .map_err(|_| err("bad seed".into()))?;
-        let stop_at = SimTime::from_nanos(
-            require("stop_at_ns")?
-                .parse()
-                .map_err(|_| err("bad stop_at_ns".into()))?,
-        );
-        let topology = TopologySpec::parse(&require("topology")?).map_err(err)?;
-        let engine_threads: u32 = match get("engine_threads") {
-            None => 1,
-            Some(v) => v.parse().map_err(|_| err("bad engine_threads".into()))?,
-        };
-        let pacing = match get("pacing").as_deref() {
+/// Every key a spec may carry outside its workload section.
+const TOP_LEVEL_KEYS: [&str; 12] = [
+    "scenario",
+    "protocol",
+    "backend",
+    "seed",
+    "stop_at_ns",
+    "topology",
+    "engine_threads",
+    "pacing",
+    "topology.queue_bytes",
+    "trace.interval_ns",
+    "trace.links",
+    "trace.flows",
+];
+
+/// [`Scenario::from_spec`], with the error as plain text.
+fn parse_spec(text: &str) -> Result<Scenario, String> {
+    let kv = Kv::read(text)?;
+    let mut scenario = Scenario {
+        name: kv.require("scenario")?.to_string(),
+        protocol: kv.require("protocol")?.to_string(),
+        backend: kv.parse_opt("backend")?.unwrap_or_default(),
+        seed: kv.parse("seed")?,
+        stop_at: SimTime::from_nanos(kv.parse("stop_at_ns")?),
+        topology: TopologySpec::parse(kv.require("topology")?)?,
+        engine_threads: kv.parse_opt("engine_threads")?.unwrap_or(1),
+        pacing: match kv.get("pacing") {
             None | Some("off") => false,
             Some("on") => true,
-            Some(v) => return Err(err(format!("bad pacing {v:?} (want on or off)"))),
-        };
-        let queue_capacity = match get("topology.queue_bytes") {
-            None => None,
-            Some(v) => Some(
-                v.parse()
-                    .map_err(|_| err("bad topology.queue_bytes".into()))?,
-            ),
-        };
-        let workload_kind = require("workload")?;
-        let flow_lines: Vec<String> = pairs
-            .iter()
-            .filter(|(k, _)| k == "flow")
-            .map(|(_, v)| v.clone())
-            .collect();
-        let workload_get = |key: &str| -> Option<String> { get(&format!("workload.{key}")) };
-        let workload =
-            WorkloadSpec::from_keys(&workload_kind, &workload_get, &flow_lines).map_err(err)?;
-
-        let mut trace = TraceConfig::default();
-        if let Some(interval) = get("trace.interval_ns") {
-            trace.interval = SimTime::from_nanos(
-                interval
-                    .parse()
-                    .map_err(|_| err("bad trace.interval_ns".into()))?,
-            );
-        }
-        if let Some(links) = get("trace.links") {
-            for part in links.split(',') {
-                trace.links.push(LinkId(
-                    part.trim()
-                        .parse()
-                        .map_err(|_| err("bad trace.links".into()))?,
-                ));
-            }
-        }
-        if let Some(flows) = get("trace.flows") {
-            trace.flows = flows.parse().map_err(|_| err("bad trace.flows".into()))?;
-        }
-
-        // Reject unknown keys. The workload keys are validated against the keys the
-        // parsed workload actually serializes, so a leftover `workload.*` line from a
-        // different workload kind (or a stray `flow` line outside a manual workload)
-        // fails loudly instead of silently changing the run.
-        let mut workload_keys: Vec<(String, String)> = Vec::new();
-        workload.write_keys(&mut workload_keys);
-        for (k, _) in &pairs {
-            let known = matches!(
-                k.as_str(),
-                "scenario"
-                    | "protocol"
-                    | "backend"
-                    | "seed"
-                    | "stop_at_ns"
-                    | "topology"
-                    | "engine_threads"
-                    | "pacing"
-                    | "topology.queue_bytes"
-                    | "trace.interval_ns"
-                    | "trace.links"
-                    | "trace.flows"
-            ) || workload_keys.iter().any(|(wk, _)| wk == k);
-            if !known {
-                let mut valid: Vec<&str> = vec![
-                    "scenario",
-                    "protocol",
-                    "backend",
-                    "seed",
-                    "stop_at_ns",
-                    "topology",
-                    "engine_threads",
-                    "pacing",
-                    "topology.queue_bytes",
-                    "trace.interval_ns",
-                    "trace.links",
-                    "trace.flows",
-                ];
-                valid.extend(workload_keys.iter().map(|(wk, _)| wk.as_str()));
-                valid.sort_unstable();
-                valid.dedup();
-                return Err(err(format!(
-                    "unknown key {k:?} (not used by workload {workload_kind:?}); \
-                     valid keys: {}",
-                    valid.join(", ")
-                )));
-            }
-        }
-
-        Ok(Scenario {
-            name,
-            backend,
-            topology,
-            workload,
-            protocol,
-            seed,
-            stop_at,
-            trace,
-            engine_threads,
-            pacing,
-            queue_capacity,
-        })
+            Some(v) => return Err(format!("bad pacing {v:?} (want on or off)")),
+        },
+        queue_capacity: kv.parse_opt("topology.queue_bytes")?,
+        workload: WorkloadSpec::from_kv(&kv)?,
+        trace: TraceConfig::default(),
+    };
+    if let Some(ns) = kv.parse_opt("trace.interval_ns")? {
+        scenario.trace.interval = SimTime::from_nanos(ns);
     }
+    if let Some(links) = kv.get("trace.links") {
+        for part in links.split(',') {
+            let id = part
+                .trim()
+                .parse()
+                .map_err(|e| format!("bad trace.links = {links}: {e}"))?;
+            scenario.trace.links.push(LinkId(id));
+        }
+    }
+    if let Some(flows) = kv.parse_opt("trace.flows")? {
+        scenario.trace.flows = flows;
+    }
+
+    // Reject unknown keys. The workload keys are checked against the keys the
+    // parsed workload writes back, so a leftover `workload.*` line from another
+    // workload kind (or a stray `flow` line outside a manual workload) fails
+    // loudly instead of silently changing the run.
+    let mut written = Writer::new("workload keys");
+    scenario.workload.write_keys(&mut written);
+    let written = written.finish();
+    let workload_keys = Kv::read(&written)?;
+    let known = |k: &str| TOP_LEVEL_KEYS.contains(&k) || workload_keys.get(k).is_some();
+    if let Some(&(k, _)) = kv.pairs().iter().find(|(k, _)| !known(k)) {
+        let mut valid = TOP_LEVEL_KEYS.to_vec();
+        valid.extend(workload_keys.pairs().iter().map(|&(wk, _)| wk));
+        valid.sort_unstable();
+        valid.dedup();
+        return Err(format!(
+            "unknown key {k:?} (not used by workload {:?}); valid keys: {}",
+            scenario.workload.kind(),
+            valid.join(", ")
+        ));
+    }
+    Ok(scenario)
 }
 
 /// Lower a generated flow list onto the §2.1 fluid model's single unit-rate
@@ -930,26 +851,43 @@ mod tests {
     }
 
     /// The error `Scenario::from_spec` reports for a spec whose topology line is
-    /// `topology = <token>`, otherwise a valid WAN scenario.
-    fn wan_spec_error(token: &str) -> String {
+    /// `topology = <token>`, otherwise a valid default scenario.
+    fn topology_spec_error(token: &str) -> String {
         let spec = Scenario::new("a")
-            .topology(TopologySpec::Wan {
-                sites: 4,
-                hosts_per_site: 2,
-                rtt_ms: 60.0,
-                gbps: 1.0,
-                loss_rate: 0.0,
-            })
             .to_spec()
-            .replace(
-                "topology = wan:4:2:60:1\n",
-                &format!("topology = {token}\n"),
-            );
+            .replace("topology = paper_tree\n", &format!("topology = {token}\n"));
         assert!(spec.contains(token), "{spec}");
         match Scenario::from_spec(&spec) {
             Err(e @ ScenarioError::Spec(_)) => e.to_string(),
             other => panic!("{token}: expected a spec error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn bcube_spec_rejects_fewer_than_two_switch_ports() {
+        // `bcube:1:2` and `bcube:0:2` used to panic in the constructor, and
+        // `bcube_hosts:16:1` to loop forever looking for a big enough 1-port BCube.
+        for token in [
+            "bcube:1:2",
+            "bcube:0:2",
+            "bcube_hosts:16:1",
+            "bcube_hosts:16:0",
+        ] {
+            assert!(topology_spec_error(token).contains("port count"), "{token}");
+        }
+        assert!(TopologySpec::parse("bcube:2:0").is_ok());
+        assert!(TopologySpec::parse("bcube_hosts:16:2").is_ok());
+    }
+
+    #[test]
+    fn single_bottleneck_spec_rejects_no_senders_and_bad_loss() {
+        assert!(topology_spec_error("single_bottleneck:0").contains("sender"));
+        for loss in ["1", "1.5", "-0.1", "nan", "inf"] {
+            let token = format!("single_bottleneck:4:loss={loss}");
+            assert!(topology_spec_error(&token).contains("loss"), "{token}");
+        }
+        assert!(TopologySpec::parse("single_bottleneck:1").is_ok());
+        assert!(TopologySpec::parse("single_bottleneck:4:loss=0.999").is_ok());
     }
 
     #[test]
@@ -960,14 +898,14 @@ mod tests {
             "wan:9:2:60:1",
             "wan:1000:2:60:1",
         ] {
-            assert!(wan_spec_error(token).contains("sites"), "{token}");
+            assert!(topology_spec_error(token).contains("sites"), "{token}");
         }
         assert!(TopologySpec::parse("wan:8:2:60:1").is_ok());
     }
 
     #[test]
     fn wan_spec_rejects_sites_without_hosts() {
-        assert!(wan_spec_error("wan:4:0:60:1").contains("host"));
+        assert!(topology_spec_error("wan:4:0:60:1").contains("host"));
     }
 
     #[test]
@@ -978,7 +916,7 @@ mod tests {
             "wan:4:2:nan:1",
             "wan:4:2:inf:1",
         ] {
-            assert!(wan_spec_error(token).contains("RTT"), "{token}");
+            assert!(topology_spec_error(token).contains("RTT"), "{token}");
         }
     }
 
@@ -990,7 +928,7 @@ mod tests {
             "wan:4:2:60:NaN",
             "wan:4:2:60:inf",
         ] {
-            assert!(wan_spec_error(token).contains("line rate"), "{token}");
+            assert!(topology_spec_error(token).contains("line rate"), "{token}");
         }
     }
 
@@ -998,7 +936,7 @@ mod tests {
     fn wan_spec_rejects_loss_outside_zero_to_one() {
         for loss in ["1", "1.5", "-0.1", "nan", "inf", "-inf"] {
             let token = format!("wan:4:2:60:1:loss={loss}");
-            assert!(wan_spec_error(&token).contains("loss"), "{token}");
+            assert!(topology_spec_error(&token).contains("loss"), "{token}");
         }
         assert!(TopologySpec::parse("wan:4:2:60:1:loss=0.999").is_ok());
     }

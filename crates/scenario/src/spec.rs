@@ -22,6 +22,8 @@ use pdq_workloads::{
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use crate::kv::{Kv, Writer};
+
 /// A buildable topology. All variants use default (paper) link parameters; the only
 /// link-level variation the figures need — access-link loss — is part of
 /// [`TopologySpec::SingleBottleneck`].
@@ -119,10 +121,28 @@ impl TopologySpec {
     }
 
     /// Check the parameters against their documented ranges, so that a bad spec is
-    /// an error instead of a panic in [`TopologySpec::build`]. Only the WAN family
-    /// has bounds to check (see [`WanParams::validate`]).
+    /// an error instead of a panic (or a hang) in [`TopologySpec::build`]: BCube
+    /// switches need at least 2 ports, a single bottleneck needs a sender and an
+    /// access loss rate in [0, 1), and a WAN must pass [`WanParams::validate`].
     pub fn validate(&self) -> Result<(), String> {
         match *self {
+            TopologySpec::SingleBottleneck {
+                senders,
+                access_loss,
+            } => {
+                if senders == 0 {
+                    return Err("a single bottleneck needs at least one sender".into());
+                }
+                if !(0.0..1.0).contains(&access_loss) {
+                    return Err(format!(
+                        "access loss rate must be in [0, 1), got {access_loss}"
+                    ));
+                }
+                Ok(())
+            }
+            TopologySpec::BCube { n, .. } | TopologySpec::BCubeHosts { n, .. } if n < 2 => Err(
+                format!("BCube switch port count must be at least 2, got {n}"),
+            ),
             TopologySpec::Wan {
                 sites,
                 hosts_per_site,
@@ -521,20 +541,19 @@ impl WorkloadSpec {
         }
     }
 
-    /// Append this workload's `key = value` spec lines to `out` (keys are prefixed
-    /// `workload.`; manual flows use repeated `flow` keys).
-    pub(crate) fn write_keys(&self, out: &mut Vec<(String, String)>) {
-        let mut push = |k: &str, v: String| out.push((k.to_string(), v));
-        push("workload", self.kind().to_string());
+    /// Write this workload's spec lines: the `workload` kind, then its
+    /// `workload.*` keys (manual flows use repeated `flow` keys).
+    pub(crate) fn write_keys(&self, w: &mut Writer) {
+        w.push("workload", self.kind());
         match self {
             WorkloadSpec::QueryAggregation {
                 flows,
                 sizes,
                 deadlines,
             } => {
-                push("workload.flows", flows.to_string());
-                push("workload.sizes", sizes.to_string());
-                push("workload.deadlines", deadlines.to_string());
+                w.push("workload.flows", flows);
+                w.push("workload.sizes", sizes);
+                w.push("workload.deadlines", deadlines);
             }
             WorkloadSpec::Pattern {
                 pattern,
@@ -542,10 +561,10 @@ impl WorkloadSpec {
                 deadlines,
                 flows_per_pair,
             } => {
-                push("workload.pattern", pattern.to_string());
-                push("workload.sizes", sizes.to_string());
-                push("workload.deadlines", deadlines.to_string());
-                push("workload.flows_per_pair", flows_per_pair.to_string());
+                w.push("workload.pattern", pattern);
+                w.push("workload.sizes", sizes);
+                w.push("workload.deadlines", deadlines);
+                w.push("workload.flows_per_pair", flows_per_pair);
             }
             WorkloadSpec::Poisson {
                 rate_flows_per_sec,
@@ -555,36 +574,30 @@ impl WorkloadSpec {
                 short_flow_threshold_bytes,
                 pattern,
             } => {
-                push(
-                    "workload.rate_flows_per_sec",
-                    rate_flows_per_sec.to_string(),
-                );
-                push("workload.duration_ns", duration.as_nanos().to_string());
-                push("workload.sizes", sizes.to_string());
-                push("workload.short_deadlines", short_deadlines.to_string());
-                push(
-                    "workload.short_threshold_bytes",
-                    short_flow_threshold_bytes.to_string(),
-                );
-                push("workload.pattern", pattern.to_string());
+                w.push("workload.rate_flows_per_sec", rate_flows_per_sec);
+                w.push("workload.duration_ns", duration.as_nanos());
+                w.push("workload.sizes", sizes);
+                w.push("workload.short_deadlines", short_deadlines);
+                w.push("workload.short_threshold_bytes", short_flow_threshold_bytes);
+                w.push("workload.pattern", pattern);
             }
             WorkloadSpec::PermutationAtLoad {
                 load,
                 sizes,
                 deadlines,
             } => {
-                push("workload.load", load.to_string());
-                push("workload.sizes", sizes.to_string());
-                push("workload.deadlines", deadlines.to_string());
+                w.push("workload.load", load);
+                w.push("workload.sizes", sizes);
+                w.push("workload.deadlines", deadlines);
             }
             WorkloadSpec::RandomPairs {
                 flows,
                 spread,
                 sizes,
             } => {
-                push("workload.flows", flows.to_string());
-                push("workload.spread_ns", spread.as_nanos().to_string());
-                push("workload.sizes", sizes.to_string());
+                w.push("workload.flows", flows);
+                w.push("workload.spread_ns", spread.as_nanos());
+                w.push("workload.sizes", sizes);
             }
             WorkloadSpec::Coflow {
                 coflows,
@@ -593,42 +606,39 @@ impl WorkloadSpec {
                 sizes,
                 deadlines,
             } => {
-                push("workload.coflows", coflows.to_string());
-                push("workload.width", width.to_string());
-                push(
-                    "workload.rate_coflows_per_sec",
-                    rate_coflows_per_sec.to_string(),
-                );
-                push("workload.sizes", sizes.to_string());
-                push("workload.deadlines", deadlines.to_string());
+                w.push("workload.coflows", coflows);
+                w.push("workload.width", width);
+                w.push("workload.rate_coflows_per_sec", rate_coflows_per_sec);
+                w.push("workload.sizes", sizes);
+                w.push("workload.deadlines", deadlines);
             }
             WorkloadSpec::Manual(flows) => {
+                let ns =
+                    |t: Option<SimTime>| t.map_or("-".to_string(), |t| t.as_nanos().to_string());
                 for f in flows {
-                    let deadline = f
-                        .deadline
-                        .map(|d| d.as_nanos().to_string())
-                        .unwrap_or_else(|| "-".to_string());
                     // The coflow tag is a 7th field written only when present, so
                     // untagged flow lines stay byte-identical to older specs.
                     let coflow = f
                         .coflow
                         .map(|t| {
-                            let d = t
-                                .deadline
-                                .map(|d| d.as_nanos().to_string())
-                                .unwrap_or_else(|| "-".to_string());
-                            format!(" {}:{}:{d}", t.id.value(), t.bottleneck_bytes)
+                            format!(
+                                " {}:{}:{}",
+                                t.id.value(),
+                                t.bottleneck_bytes,
+                                ns(t.deadline)
+                            )
                         })
                         .unwrap_or_default();
-                    push(
+                    w.push(
                         "flow",
-                        format!(
-                            "{} {} {} {} {} {deadline}{coflow}",
+                        format_args!(
+                            "{} {} {} {} {} {}{coflow}",
                             f.id.value(),
                             f.src.0,
                             f.dst.0,
                             f.size_bytes,
-                            f.arrival.as_nanos()
+                            f.arrival.as_nanos(),
+                            ns(f.deadline)
                         ),
                     );
                 }
@@ -636,88 +646,54 @@ impl WorkloadSpec {
         }
     }
 
-    /// Rebuild a workload from its spec keys: the `workload =` kind token, a lookup
-    /// for `workload.<key>` values, and the repeated `flow` lines (manual workloads).
-    pub(crate) fn from_keys(
-        kind: &str,
-        get: &dyn Fn(&str) -> Option<String>,
-        flow_lines: &[String],
-    ) -> Result<Self, String> {
-        let require = |key: &str| get(key).ok_or_else(|| format!("missing key workload.{key}"));
-        let parse_sizes = |v: String| v.parse::<SizeDist>();
-        let parse_deadlines = |v: String| v.parse::<DeadlineDist>();
-        match kind {
-            "query_aggregation" => Ok(WorkloadSpec::QueryAggregation {
-                flows: require("flows")?
-                    .parse()
-                    .map_err(|_| "bad workload.flows".to_string())?,
-                sizes: parse_sizes(require("sizes")?)?,
-                deadlines: parse_deadlines(require("deadlines")?)?,
-            }),
-            "pattern" => Ok(WorkloadSpec::Pattern {
-                pattern: require("pattern")?.parse()?,
-                sizes: parse_sizes(require("sizes")?)?,
-                deadlines: parse_deadlines(require("deadlines")?)?,
-                flows_per_pair: require("flows_per_pair")?
-                    .parse()
-                    .map_err(|_| "bad workload.flows_per_pair".to_string())?,
-            }),
-            "poisson" => Ok(WorkloadSpec::Poisson {
-                rate_flows_per_sec: require("rate_flows_per_sec")?
-                    .parse()
-                    .map_err(|_| "bad workload.rate_flows_per_sec".to_string())?,
-                duration: SimTime::from_nanos(
-                    require("duration_ns")?
-                        .parse()
-                        .map_err(|_| "bad workload.duration_ns".to_string())?,
-                ),
-                sizes: parse_sizes(require("sizes")?)?,
-                short_deadlines: parse_deadlines(require("short_deadlines")?)?,
-                short_flow_threshold_bytes: require("short_threshold_bytes")?
-                    .parse()
-                    .map_err(|_| "bad workload.short_threshold_bytes".to_string())?,
-                pattern: require("pattern")?.parse()?,
-            }),
-            "permutation_at_load" => Ok(WorkloadSpec::PermutationAtLoad {
-                load: require("load")?
-                    .parse()
-                    .map_err(|_| "bad workload.load".to_string())?,
-                sizes: parse_sizes(require("sizes")?)?,
-                deadlines: parse_deadlines(require("deadlines")?)?,
-            }),
-            "random_pairs" => Ok(WorkloadSpec::RandomPairs {
-                flows: require("flows")?
-                    .parse()
-                    .map_err(|_| "bad workload.flows".to_string())?,
-                spread: SimTime::from_nanos(
-                    require("spread_ns")?
-                        .parse()
-                        .map_err(|_| "bad workload.spread_ns".to_string())?,
-                ),
-                sizes: parse_sizes(require("sizes")?)?,
-            }),
-            "coflow" => Ok(WorkloadSpec::Coflow {
-                coflows: require("coflows")?
-                    .parse()
-                    .map_err(|_| "bad workload.coflows".to_string())?,
-                width: require("width")?
-                    .parse()
-                    .map_err(|_| "bad workload.width".to_string())?,
-                rate_coflows_per_sec: require("rate_coflows_per_sec")?
-                    .parse()
-                    .map_err(|_| "bad workload.rate_coflows_per_sec".to_string())?,
-                sizes: parse_sizes(require("sizes")?)?,
-                deadlines: parse_deadlines(require("deadlines")?)?,
-            }),
-            "manual" => {
-                let mut flows = Vec::with_capacity(flow_lines.len());
-                for line in flow_lines {
-                    flows.push(parse_flow_line(line)?);
-                }
-                Ok(WorkloadSpec::Manual(flows))
-            }
-            _ => Err(format!("unrecognized workload kind: {kind:?}")),
-        }
+    /// Rebuild a workload from a spec's `workload` kind, its `workload.*` keys and
+    /// (manual workloads) its repeated `flow` lines.
+    pub(crate) fn from_kv(kv: &Kv) -> Result<Self, String> {
+        let workload = match kv.require("workload")? {
+            "query_aggregation" => WorkloadSpec::QueryAggregation {
+                flows: kv.parse("workload.flows")?,
+                sizes: kv.parse("workload.sizes")?,
+                deadlines: kv.parse("workload.deadlines")?,
+            },
+            "pattern" => WorkloadSpec::Pattern {
+                pattern: kv.parse("workload.pattern")?,
+                sizes: kv.parse("workload.sizes")?,
+                deadlines: kv.parse("workload.deadlines")?,
+                flows_per_pair: kv.parse("workload.flows_per_pair")?,
+            },
+            "poisson" => WorkloadSpec::Poisson {
+                rate_flows_per_sec: kv.parse("workload.rate_flows_per_sec")?,
+                duration: SimTime::from_nanos(kv.parse("workload.duration_ns")?),
+                sizes: kv.parse("workload.sizes")?,
+                short_deadlines: kv.parse("workload.short_deadlines")?,
+                short_flow_threshold_bytes: kv.parse("workload.short_threshold_bytes")?,
+                pattern: kv.parse("workload.pattern")?,
+            },
+            "permutation_at_load" => WorkloadSpec::PermutationAtLoad {
+                load: kv.parse("workload.load")?,
+                sizes: kv.parse("workload.sizes")?,
+                deadlines: kv.parse("workload.deadlines")?,
+            },
+            "random_pairs" => WorkloadSpec::RandomPairs {
+                flows: kv.parse("workload.flows")?,
+                spread: SimTime::from_nanos(kv.parse("workload.spread_ns")?),
+                sizes: kv.parse("workload.sizes")?,
+            },
+            "coflow" => WorkloadSpec::Coflow {
+                coflows: kv.parse("workload.coflows")?,
+                width: kv.parse("workload.width")?,
+                rate_coflows_per_sec: kv.parse("workload.rate_coflows_per_sec")?,
+                sizes: kv.parse("workload.sizes")?,
+                deadlines: kv.parse("workload.deadlines")?,
+            },
+            "manual" => WorkloadSpec::Manual(
+                kv.all("flow")
+                    .map(parse_flow_line)
+                    .collect::<Result<_, _>>()?,
+            ),
+            kind => return Err(format!("unrecognized workload kind: {kind:?}")),
+        };
+        Ok(workload)
     }
 }
 
@@ -861,19 +837,16 @@ mod tests {
                 }),
         ];
         let w = WorkloadSpec::Manual(flows.clone());
-        let mut keys = Vec::new();
+        let mut keys = Writer::new("flows");
         w.write_keys(&mut keys);
-        let flow_lines: Vec<String> = keys
-            .iter()
-            .filter(|(k, _)| k == "flow")
-            .map(|(_, v)| v.clone())
-            .collect();
+        let text = keys.finish();
+        let kv = Kv::read(&text).unwrap();
+        let flow_lines: Vec<&str> = kv.all("flow").collect();
         assert_eq!(flow_lines.len(), 3);
         // Untagged lines keep the historical 6-field form byte for byte.
         assert_eq!(flow_lines[0], "1 0 5 100000 0 -");
         assert_eq!(flow_lines[2], "3 4 5 50000 0 40000000 9:60000:40000000");
-        let back = WorkloadSpec::from_keys("manual", &|_| None, &flow_lines).unwrap();
-        assert_eq!(back, w);
+        assert_eq!(WorkloadSpec::from_kv(&kv).unwrap(), w);
         assert!(parse_flow_line("1 2 3").is_err());
         assert!(parse_flow_line("1 0 5 100 0 - 9:60000").is_err());
     }
@@ -887,16 +860,12 @@ mod tests {
             sizes: SizeDist::query(),
             deadlines: DeadlineDist::paper_default(),
         };
-        let mut keys = Vec::new();
+        let mut keys = Writer::new("coflow");
         w.write_keys(&mut keys);
-        assert_eq!(keys[0], ("workload".to_string(), "coflow".to_string()));
-        let lookup = |k: &str| {
-            keys.iter()
-                .find(|(key, _)| key == &format!("workload.{k}"))
-                .map(|(_, v)| v.clone())
-        };
-        let back = WorkloadSpec::from_keys("coflow", &lookup, &[]).unwrap();
-        assert_eq!(back, w);
+        let text = keys.finish();
+        let kv = Kv::read(&text).unwrap();
+        assert_eq!(kv.pairs()[0], ("workload", "coflow"));
+        assert_eq!(WorkloadSpec::from_kv(&kv).unwrap(), w);
 
         let topo = default_paper_tree();
         let flows = w.generate(&topo, 5);

@@ -7,6 +7,7 @@ use pdq_flowsim::{FlowLevelResults, FluidResults};
 use pdq_netsim::{FlowOutcome, FlowSpec, SimResults, SimTime};
 
 use crate::backend::SimBackend;
+use crate::kv::{Kv, Writer};
 use crate::scenario::Scenario;
 
 /// The engine-specific result records behind a [`RunSummary`]: full packet-level
@@ -540,48 +541,37 @@ impl RunSummary {
     /// `to_record` → `from_record` reproduces every headline value bit-exactly
     /// (absent metrics serialize as `-`).
     pub fn to_record(&self) -> String {
-        let opt = |v: Option<f64>| v.map(|v| v.to_string()).unwrap_or_else(|| "-".into());
-        let mut out = String::from("# pdq run record v1\n");
-        for (k, v) in [
-            ("scenario", self.scenario.clone()),
-            ("protocol", self.protocol.clone()),
-            ("protocol_label", self.protocol_label.clone()),
-            ("backend", self.backend.token().to_string()),
-            ("seed", self.seed.to_string()),
-            ("flows", self.flows.to_string()),
-            ("completed", self.completed.to_string()),
-            ("terminated", self.terminated.to_string()),
-            ("failed", self.failed.to_string()),
-            ("unfinished", self.unfinished.to_string()),
-            ("deadline_flows", self.deadline_flows.to_string()),
-            ("deadlines_met", self.deadlines_met.to_string()),
-            ("mean_fct_secs", opt(self.mean_fct_secs)),
-            ("p99_fct_secs", opt(self.p99_fct_secs)),
-            ("max_fct_secs", opt(self.max_fct_secs)),
-            ("goodput_bytes", self.goodput_bytes.to_string()),
-            ("end_time_ns", self.end_time.as_nanos().to_string()),
-        ] {
-            let _ = writeln!(out, "{k} = {v}");
-        }
+        let secs = |v: Option<f64>| v.map_or("-".to_string(), |v| v.to_string());
+        let mut w = Writer::new("pdq run record v1");
+        w.push("scenario", &self.scenario);
+        w.push("protocol", &self.protocol);
+        w.push("protocol_label", &self.protocol_label);
+        w.push("backend", self.backend.token());
+        w.push("seed", self.seed);
+        w.push("flows", self.flows);
+        w.push("completed", self.completed);
+        w.push("terminated", self.terminated);
+        w.push("failed", self.failed);
+        w.push("unfinished", self.unfinished);
+        w.push("deadline_flows", self.deadline_flows);
+        w.push("deadlines_met", self.deadlines_met);
+        w.push("mean_fct_secs", secs(self.mean_fct_secs));
+        w.push("p99_fct_secs", secs(self.p99_fct_secs));
+        w.push("max_fct_secs", secs(self.max_fct_secs));
+        w.push("goodput_bytes", self.goodput_bytes);
+        w.push("end_time_ns", self.end_time.as_nanos());
         // Coflow metrics are written only when coflows are present, so non-coflow
         // records keep their historical bytes.
         if self.coflows > 0 {
-            for (k, v) in [
-                ("coflows", self.coflows.to_string()),
-                ("coflows_completed", self.coflows_completed.to_string()),
-                ("coflow_deadlines", self.coflow_deadlines.to_string()),
-                (
-                    "coflow_deadlines_met",
-                    self.coflow_deadlines_met.to_string(),
-                ),
-                ("mean_cct_secs", opt(self.mean_cct_secs)),
-                ("p95_cct_secs", opt(self.p95_cct_secs)),
-            ] {
-                let _ = writeln!(out, "{k} = {v}");
-            }
+            w.push("coflows", self.coflows);
+            w.push("coflows_completed", self.coflows_completed);
+            w.push("coflow_deadlines", self.coflow_deadlines);
+            w.push("coflow_deadlines_met", self.coflow_deadlines_met);
+            w.push("mean_cct_secs", secs(self.mean_cct_secs));
+            w.push("p95_cct_secs", secs(self.p95_cct_secs));
         }
-        let _ = writeln!(out, "fingerprint = {}", self.fingerprint());
-        out
+        w.push("fingerprint", self.fingerprint());
+        w.finish()
     }
 
     /// Parse the [`RunSummary::to_record`] format back into a summary whose
@@ -589,75 +579,50 @@ impl RunSummary {
     /// error; unknown keys are ignored (cache records carry extra bookkeeping lines
     /// and future versions may add fields).
     pub fn from_record(text: &str) -> Result<RunSummary, String> {
-        let mut pairs: Vec<(&str, &str)> = Vec::new();
-        for raw in text.lines() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
+        RunSummary::from_kv(&Kv::read(text)?)
+    }
+
+    /// [`RunSummary::from_record`] over an already-parsed record.
+    pub(crate) fn from_kv(kv: &Kv) -> Result<RunSummary, String> {
+        // Seconds metrics write `-` for "no value"; the coflow keys may also be
+        // absent altogether (non-coflow and older records omit them).
+        let secs = |key: &str| -> Result<Option<f64>, String> {
+            match kv.get(key) {
+                None | Some("-") => Ok(None),
+                Some(_) => kv.parse(key).map(Some),
             }
-            if let Some((k, v)) = line.split_once('=') {
-                pairs.push((k.trim(), v.trim()));
-            }
+        };
+        for key in ["mean_fct_secs", "p99_fct_secs", "max_fct_secs"] {
+            kv.require(key)?;
         }
-        let get = |key: &str| -> Result<&str, String> {
-            pairs
-                .iter()
-                .find(|(k, _)| *k == key)
-                .map(|(_, v)| *v)
-                .ok_or_else(|| format!("missing key {key}"))
-        };
-        fn num<T: std::str::FromStr>(key: &str, v: &str) -> Result<T, String> {
-            v.parse().map_err(|_| format!("bad {key}: {v:?}"))
-        }
-        let opt = |key: &str| -> Result<Option<f64>, String> {
-            match get(key)? {
-                "-" => Ok(None),
-                v => num(key, v).map(Some),
-            }
-        };
-        // Coflow keys are optional: records from non-coflow runs (and older
-        // records) simply omit them.
-        let get_opt = |key: &str| pairs.iter().find(|(k, _)| *k == key).map(|(_, v)| *v);
-        let opt_count = |key: &str| -> Result<usize, String> {
-            match get_opt(key) {
-                Some(v) => num(key, v),
-                None => Ok(0),
-            }
-        };
-        let opt_secs = |key: &str| -> Result<Option<f64>, String> {
-            match get_opt(key) {
-                Some("-") | None => Ok(None),
-                Some(v) => num(key, v).map(Some),
-            }
-        };
-        let backend: SimBackend = get("backend")?.parse()?;
+        let backend: SimBackend = kv.parse("backend")?;
         Ok(RunSummary {
-            scenario: get("scenario")?.to_string(),
-            protocol: get("protocol")?.to_string(),
-            protocol_label: get("protocol_label")?.to_string(),
+            scenario: kv.require("scenario")?.to_string(),
+            protocol: kv.require("protocol")?.to_string(),
+            protocol_label: kv.require("protocol_label")?.to_string(),
             backend,
-            seed: num("seed", get("seed")?)?,
-            flows: num("flows", get("flows")?)?,
-            completed: num("completed", get("completed")?)?,
-            terminated: num("terminated", get("terminated")?)?,
-            failed: num("failed", get("failed")?)?,
-            unfinished: num("unfinished", get("unfinished")?)?,
-            deadline_flows: num("deadline_flows", get("deadline_flows")?)?,
-            deadlines_met: num("deadlines_met", get("deadlines_met")?)?,
-            mean_fct_secs: opt("mean_fct_secs")?,
-            p99_fct_secs: opt("p99_fct_secs")?,
-            max_fct_secs: opt("max_fct_secs")?,
-            goodput_bytes: num("goodput_bytes", get("goodput_bytes")?)?,
-            end_time: SimTime::from_nanos(num("end_time_ns", get("end_time_ns")?)?),
-            coflows: opt_count("coflows")?,
-            coflows_completed: opt_count("coflows_completed")?,
-            coflow_deadlines: opt_count("coflow_deadlines")?,
-            coflow_deadlines_met: opt_count("coflow_deadlines_met")?,
-            mean_cct_secs: opt_secs("mean_cct_secs")?,
-            p95_cct_secs: opt_secs("p95_cct_secs")?,
+            seed: kv.parse("seed")?,
+            flows: kv.parse("flows")?,
+            completed: kv.parse("completed")?,
+            terminated: kv.parse("terminated")?,
+            failed: kv.parse("failed")?,
+            unfinished: kv.parse("unfinished")?,
+            deadline_flows: kv.parse("deadline_flows")?,
+            deadlines_met: kv.parse("deadlines_met")?,
+            mean_fct_secs: secs("mean_fct_secs")?,
+            p99_fct_secs: secs("p99_fct_secs")?,
+            max_fct_secs: secs("max_fct_secs")?,
+            goodput_bytes: kv.parse("goodput_bytes")?,
+            end_time: SimTime::from_nanos(kv.parse("end_time_ns")?),
+            coflows: kv.parse_opt("coflows")?.unwrap_or(0),
+            coflows_completed: kv.parse_opt("coflows_completed")?.unwrap_or(0),
+            coflow_deadlines: kv.parse_opt("coflow_deadlines")?.unwrap_or(0),
+            coflow_deadlines_met: kv.parse_opt("coflow_deadlines_met")?.unwrap_or(0),
+            mean_cct_secs: secs("mean_cct_secs")?,
+            p95_cct_secs: secs("p95_cct_secs")?,
             results: BackendResults::Cached(CachedResults {
                 backend,
-                fingerprint: get("fingerprint")?.to_string(),
+                fingerprint: kv.require("fingerprint")?.to_string(),
             }),
         })
     }

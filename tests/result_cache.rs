@@ -150,3 +150,26 @@ fn cache_served_sweeps_match_uncached_sweeps_cell_for_cell() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The record format is pinned: a record that an earlier build stored for the
+/// packet scenario is served by `lookup`, and storing what it serves (or the
+/// fresh run it came from) writes back the committed bytes exactly.
+#[test]
+fn committed_record_is_served_and_restored_byte_for_byte() {
+    const RECORD: &str = include_str!("fixtures/dca12297213276809dad8f05bbabef85.record");
+    let scenario = packet_scenario();
+    let (dir, cache) = temp_cache("fixture");
+    let path = cache.record_path(&scenario);
+    std::fs::write(&path, RECORD).unwrap();
+    let served = cache.lookup(&scenario).expect("committed record is served");
+    assert_eq!(served.scenario, scenario.name);
+    let fresh = scenario.run(&paper_registry()).unwrap();
+    assert_eq!(served.fingerprint(), fresh.fingerprint());
+    assert_eq!(served.mean_fct_secs, fresh.mean_fct_secs);
+    for summary in [&served, &fresh] {
+        std::fs::remove_file(&path).unwrap();
+        cache.store(&scenario, summary).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), RECORD);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -21,6 +21,45 @@ fn paper_registry() -> ProtocolRegistry {
     registry
 }
 
+/// Every committed spec file parses, and its key lines are exactly the lines
+/// `to_spec` writes back: the files stay in canonical form, so they double as
+/// format fixtures. The benchmark's files hold several scenarios separated by
+/// `---` lines, split the way the benchmark splits them.
+#[test]
+fn committed_specs_parse_and_stay_canonical() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in ["specs", "perfbench/specs"] {
+        for entry in std::fs::read_dir(root.join(dir)).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|e| e == "scn") {
+                files.push(path);
+            }
+        }
+    }
+    files.sort();
+    assert!(files.len() >= 8, "{files:?}");
+    let key_lines = |text: &str| -> Vec<String> {
+        text.lines()
+            .filter(|l| !l.trim().is_empty() && !l.trim_start().starts_with('#'))
+            .map(String::from)
+            .collect()
+    };
+    for path in files {
+        let text = std::fs::read_to_string(&path).unwrap();
+        for block in text.split("\n---\n") {
+            let scenario = Scenario::from_spec(block)
+                .unwrap_or_else(|e| panic!("{}: {e}\n{block}", path.display()));
+            assert_eq!(
+                key_lines(block),
+                key_lines(&scenario.to_spec()),
+                "{}",
+                path.display()
+            );
+        }
+    }
+}
+
 /// Build → serialize → parse → run must give the identical run, for every workload
 /// family a figure uses.
 #[test]
