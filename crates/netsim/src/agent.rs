@@ -93,12 +93,23 @@ pub struct Ctx<'a> {
 }
 
 impl<'a> Ctx<'a> {
-    /// Create a context (used by the engine and by protocol unit tests).
+    /// Create a context (used by protocol unit tests; the engine reuses one buffer).
     pub fn new(now: SimTime, flows: &'a dyn FlowLookup) -> Self {
+        Ctx::with_actions(now, flows, Vec::new())
+    }
+
+    /// A context that queues into `actions` (empty, but with the capacity of an
+    /// earlier callback's buffer), so the engine's callbacks allocate nothing.
+    pub(crate) fn with_actions(
+        now: SimTime,
+        flows: &'a dyn FlowLookup,
+        actions: Vec<Action>,
+    ) -> Self {
+        debug_assert!(actions.is_empty(), "action buffer handed over non-empty");
         Ctx {
             now,
             flows,
-            actions: Vec::new(),
+            actions,
         }
     }
 

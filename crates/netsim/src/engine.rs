@@ -21,7 +21,7 @@
 //! cooperating [`EngineCore`]s synchronized by conservative lookahead — see the
 //! `shard` module for the synchronization and determinism model.
 //!
-//! # Hot-path layout (id slabs, shared paths, pooled packets)
+//! # Hot-path layout (id slabs, in-place packets, reused buffers)
 //!
 //! All engine state is held in dense, id-indexed slabs rather than hash maps:
 //!
@@ -30,17 +30,21 @@
 //!   [`LinkId`];
 //! * **flows** — a [`FlowTable`]: a `Vec<FlowState>` slab holding each flow's
 //!   [`FlowInfo`], [`FlowRecord`], trace accumulator and timer generation, plus a
-//!   `FlowId -> slot` index consulted only at the *per-packet* boundaries (agent
-//!   actions). [`NodeId`]/[`LinkId`] are sequential by construction; [`FlowId`]s may be
-//!   sparse (M-PDQ subflow ids, workload-chosen ids), which is exactly what the index
-//!   absorbs.
+//!   `FlowId -> slot` index (hashed with one multiply, not SipHash) consulted only at
+//!   the *per-packet* boundaries (agent actions). [`NodeId`]/[`LinkId`] are sequential
+//!   by construction; [`FlowId`]s may be sparse (M-PDQ subflow ids, workload-chosen
+//!   ids), which is exactly what the index absorbs.
 //!
-//! The *per-hop* path never hashes and never allocates: when a packet enters the
-//! network the engine stamps the flow's slab slot into the packet, each hop resolves
-//! the flow by direct `Vec` index, the forward path is shared through
-//! `Arc<FlowPath>` (cloning a handle, never the node/link vectors), and packets in
-//! flight between nodes are parked in a recycled pool so the event queue carries a
-//! `u32` slot instead of a ~200-byte payload.
+//! The *per-hop* path never hashes, never allocates, never copies a packet and
+//! touches no atomic: when a packet enters the network the engine stamps the flow's
+//! slab slot into it and moves it into a slot of a recycled packet pool, where it
+//! stays until it is delivered, dropped or handed to another shard. Each hop resolves
+//! the flow by direct `Vec` index, reads the next link and the controller's link as
+//! `LinkId` copies while the flow's path is borrowed (no `Arc` clone), runs the
+//! controller on the packet where it lies and re-schedules the same slot, so the
+//! event queue carries a `u32` instead of a ~160-byte payload. Agent callbacks queue
+//! their actions into one engine-owned buffer that [`EngineCore::apply_actions`]
+//! drains and hands back, so a callback allocates nothing either.
 //!
 //! # Link departures
 //!
@@ -69,6 +73,7 @@
 //! ignore late timers through status guards and token freshness.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
@@ -76,7 +81,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::agent::{Action, Ctx, FlowInfo, FlowLookup, HostAgent};
 use crate::controller::LinkController;
-use crate::event::{EventKind, EventPos, EventQueue, PacketSlot, TimerKind};
+use crate::event::{Event, EventKind, EventPos, EventQueue, PacketSlot, TimerKind};
 use crate::flow::{FlowPath, FlowRecord, FlowSpec};
 use crate::ids::{FlowId, LinkId, NodeId};
 use crate::metrics::{Sample, SimResults, TraceConfig, Traces};
@@ -212,15 +217,40 @@ pub(crate) struct FlowState {
     pub(crate) home: bool,
 }
 
+/// Hashes a [`FlowId`] with one multiply and a fold instead of SipHash. Flow ids come
+/// from the workload, not from an adversary, so the index needs spread, not DoS
+/// resistance: the multiply mixes every id bit into the high half, and the fold
+/// brings it down into the low bits that pick the bucket, so sequential ids and M-PDQ
+/// subflow ids (which differ only in their low and high bits) both spread.
+#[derive(Default, Clone, Copy)]
+pub(crate) struct FlowIdHasher(u64);
+
+impl Hasher for FlowIdHasher {
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
 /// Dense slab of per-flow state plus the sparse `FlowId -> slot` index.
 ///
 /// Slots are assigned in arrival order and never reused within a run, so a slot is a
 /// stable dense id for the flow. The hash index is consulted once per agent *action*
 /// (send / timer / completion); per-hop code uses the slot stamped into the packet.
+/// Nothing iterates the index, so its order never reaches an output.
 #[derive(Default)]
 pub(crate) struct FlowTable {
     pub(crate) slots: Vec<FlowState>,
-    pub(crate) index: HashMap<FlowId, u32>,
+    pub(crate) index: HashMap<FlowId, u32, BuildHasherDefault<FlowIdHasher>>,
 }
 
 impl FlowTable {
@@ -255,10 +285,11 @@ impl FlowLookup for FlowTable {
     }
 }
 
-/// Recycled storage for packets in flight between nodes (accepted by a link, waiting
-/// out queueing, serialization, propagation and processing). Slots are reused in LIFO
-/// order, so in steady state parking and retrieving a packet performs no heap
-/// allocation.
+/// Recycled storage for packets inside the network. A packet takes a slot when the
+/// engine first accepts it and keeps it, hop after hop, until it is delivered, dropped
+/// or handed to another shard: controllers and links work on it in place, and the
+/// event queue carries only the `u32` slot. Slots are reused in LIFO order, so in
+/// steady state a packet's whole journey performs no heap allocation and no copy.
 #[derive(Default)]
 pub(crate) struct PacketPool {
     slots: Vec<Option<Packet>>,
@@ -276,12 +307,22 @@ impl PacketPool {
         }
     }
 
+    fn get_mut(&mut self, slot: PacketSlot) -> Option<&mut Packet> {
+        self.slots.get_mut(slot.0 as usize)?.as_mut()
+    }
+
+    /// Move the packet out and free its slot.
     fn take(&mut self, slot: PacketSlot) -> Option<Packet> {
         let p = self.slots.get_mut(slot.0 as usize)?.take();
         if p.is_some() {
             self.free.push(slot.0);
         }
         p
+    }
+
+    /// Drop the packet in `slot` and free the slot.
+    fn free(&mut self, slot: PacketSlot) {
+        self.take(slot);
     }
 }
 
@@ -307,6 +348,9 @@ pub(crate) struct EngineCore {
     pub(crate) rng: SmallRng,
     pub(crate) flows: FlowTable,
     pub(crate) pool: PacketPool,
+    /// The action buffer every agent callback's [`Ctx`] fills and
+    /// [`EngineCore::apply_actions`] drains, reused so callbacks allocate nothing.
+    actions: Vec<Action>,
     pub(crate) unfinished_flows: usize,
     pub(crate) pending_arrivals: usize,
     pub(crate) traces: Traces,
@@ -364,6 +408,7 @@ impl EngineCore {
             rng,
             flows: FlowTable::default(),
             pool: PacketPool::default(),
+            actions: Vec::new(),
             unfinished_flows: 0,
             pending_arrivals: 0,
             traces: Traces::default(),
@@ -472,9 +517,8 @@ impl EngineCore {
             self.now = ev.at;
             self.pos = ev.pos();
             self.events.set_now(ev.at);
-            match ev.kind {
-                EventKind::Stop => return,
-                kind => self.dispatch(kind),
+            if !self.dispatch(ev) {
+                return;
             }
             if self.config.stop_when_flows_done
                 && self.unfinished_flows == 0
@@ -511,12 +555,9 @@ impl EngineCore {
             self.now = ev.at;
             self.pos = ev.pos();
             self.events.set_now(ev.at);
-            match ev.kind {
-                EventKind::Stop => {
-                    self.stopped = true;
-                    return;
-                }
-                kind => self.dispatch(kind),
+            if !self.dispatch(ev) {
+                self.stopped = true;
+                return;
             }
         }
         // Every event before the window end has run; if the driver ends the run
@@ -549,9 +590,16 @@ impl EngineCore {
             .unwrap_or(u64::MAX)
     }
 
-    fn dispatch(&mut self, kind: EventKind) {
-        match kind {
-            EventKind::Stop => unreachable!("Stop is handled by the event loop"),
+    /// Run one popped event; false for the Stop event, which ends the run.
+    ///
+    /// Inlined into both event loops so the match reads the popped event where it
+    /// lies. Passing the kind on by value instead copies the enum's unaligned payload
+    /// bytes through the stack and stalls on store-to-load forwarding at every event
+    /// (~15% of the samples in a profile of engine_scale Large).
+    #[inline(always)]
+    fn dispatch(&mut self, ev: Event) -> bool {
+        match ev.kind {
+            EventKind::Stop => return false,
             EventKind::FlowArrival(spec) => self.handle_flow_arrival(*spec),
             EventKind::PacketAtNode { node, packet, .. } => {
                 self.handle_packet_at_node(node, packet)
@@ -566,6 +614,7 @@ impl EngineCore {
             EventKind::ControllerTick { link } => self.handle_controller_tick(link),
             EventKind::TraceSample => self.handle_trace_sample(),
         }
+        true
     }
 
     /// Tear the core down into its [`SimResults`] (single-shard runs; sharded runs
@@ -674,7 +723,12 @@ impl EngineCore {
         }
         self.unfinished_flows += 1;
         let actions = {
-            let Self { agents, flows, .. } = self;
+            let Self {
+                agents,
+                flows,
+                actions,
+                ..
+            } = self;
             let agent = agents[src.index()]
                 .as_mut()
                 .unwrap_or_else(|| panic!("no agent installed on {src:?}"));
@@ -682,7 +736,7 @@ impl EngineCore {
                 .info
                 .as_ref()
                 .expect("checked above");
-            let mut ctx = Ctx::new(self.now, flows);
+            let mut ctx = Ctx::with_actions(self.now, flows, std::mem::take(actions));
             agent.on_flow_arrival(info, &mut ctx);
             ctx.take_actions()
         };
@@ -713,7 +767,7 @@ impl EngineCore {
     }
 
     fn handle_packet_at_node(&mut self, node: NodeId, slot: PacketSlot) {
-        let Some(packet) = self.pool.take(slot) else {
+        let Some(packet) = self.pool.get_mut(slot) else {
             // Pool slot already consumed (should not happen); silently discard.
             return;
         };
@@ -723,6 +777,7 @@ impl EngineCore {
             .and_then(|s| s.info.as_ref())
         else {
             // Flow record was dropped (should not happen); silently discard.
+            self.pool.free(slot);
             return;
         };
         let delivered = if packet.reverse {
@@ -731,9 +786,10 @@ impl EngineCore {
             node == info.spec.dst
         };
         if delivered {
+            let packet = self.pool.take(slot).expect("slot checked above");
             self.deliver_packet(node, packet);
         } else {
-            self.forward_packet(node, packet);
+            self.forward_packet(node, slot);
         }
     }
 
@@ -745,73 +801,81 @@ impl EngineCore {
             }
         }
         let actions = {
-            let Self { agents, flows, .. } = self;
+            let Self {
+                agents,
+                flows,
+                actions,
+                ..
+            } = self;
             let Some(agent) = agents[node.index()].as_mut() else {
                 return;
             };
-            let mut ctx = Ctx::new(self.now, flows);
+            let mut ctx = Ctx::with_actions(self.now, flows, std::mem::take(actions));
             agent.on_packet(packet, &mut ctx);
             ctx.take_actions()
         };
         self.apply_actions(actions);
     }
 
-    /// Push a packet onto its next link from `node`, running the link controller and
-    /// applying loss / tail-drop.
+    /// Push the pooled packet in `slot` onto its next link from `node`, running the
+    /// link controller and applying loss / tail-drop. A dropped packet frees its slot.
     ///
-    /// This is the hottest function in the simulator; it performs no heap allocation
-    /// and no hash lookup (the flow is resolved through the slot stamped into the
-    /// packet, and the path through a shared `Arc`).
-    fn forward_packet(&mut self, node: NodeId, mut packet: Packet) {
-        let flow_slot = packet.flow_slot;
-        let Some(info) = self.flows.get(flow_slot).and_then(|s| s.info.as_ref()) else {
+    /// This is the hottest function in the simulator; it performs no heap allocation,
+    /// no hash lookup and no packet copy: the flow is resolved through the slot stamped
+    /// into the packet, the next link is read as a `LinkId` while the flow slab is
+    /// borrowed, and the controller rewrites the packet where it lies in the pool.
+    fn forward_packet(&mut self, node: NodeId, slot: PacketSlot) {
+        let Self {
+            pool,
+            flows,
+            network,
+            controllers,
+            rng,
+            link_loss_rngs,
+            config,
+            now,
+            pos,
+            ..
+        } = self;
+        let Some(packet) = pool.get_mut(slot) else {
             return;
         };
-        // Cheap handle clone (refcount bump) so the path outlives the mutable borrows
-        // of the network below; the node/link vectors are never copied.
-        let path = Arc::clone(&info.path);
-        let nlinks = path.links.len();
+        let flow_slot = packet.flow_slot;
+        let Some(info) = flows.get(flow_slot).and_then(|s| s.info.as_ref()) else {
+            pool.free(slot);
+            return;
+        };
+        let links = &info.path.links;
+        let nlinks = links.len();
         let hop = packet.hop;
+        if hop >= nlinks {
+            // Mis-routed packet; drop defensively.
+            pool.free(slot);
+            return;
+        }
         let (next_link, controller_link) = if !packet.reverse {
-            if hop >= nlinks {
-                // Mis-routed packet; drop defensively.
-                return;
-            }
-            let link = path.links[hop];
-            debug_assert_eq!(self.network.link(link).src, node, "forward hop mismatch");
+            let link = links[hop];
+            debug_assert_eq!(network.link(link).src, node, "forward hop mismatch");
             (link, Some(link))
         } else {
-            if hop >= nlinks {
-                return;
-            }
-            let forward = path.links[nlinks - 1 - hop];
-            let link = self.network.reverse(forward);
-            debug_assert_eq!(self.network.link(link).src, node, "reverse hop mismatch");
-            // The switch owning forward link `path.links[nlinks - hop]` is `node`
-            // (for hop >= 1); hop == 0 means we are at the destination host.
-            let ctl = if hop >= 1 {
-                Some(path.links[nlinks - hop])
-            } else {
-                None
-            };
-            (link, ctl)
+            let forward = links[nlinks - 1 - hop];
+            let link = network.reverse(forward);
+            debug_assert_eq!(network.link(link).src, node, "reverse hop mismatch");
+            // The switch owning forward link `links[nlinks - hop]` is `node` (for
+            // hop >= 1); hop == 0 means we are at the destination host.
+            (link, (hop >= 1).then(|| links[nlinks - hop]))
         };
 
         // Run the link controller (switch scheduling logic) on up-to-date link state.
         if let Some(cl) = controller_link {
-            let Self {
-                controllers,
-                network,
-                ..
-            } = self;
             if let Some(ctl) = controllers[cl.index()].as_mut() {
                 let link_ref = network.link_mut(cl);
-                link_ref.retire(self.pos);
+                link_ref.retire(*pos);
                 let link_ref = &*link_ref;
                 if packet.reverse {
-                    ctl.on_reverse(&mut packet, self.now, link_ref);
+                    ctl.on_reverse(packet, *now, link_ref);
                 } else {
-                    ctl.on_forward(&mut packet, self.now, link_ref);
+                    ctl.on_forward(packet, *now, link_ref);
                 }
             }
         }
@@ -819,24 +883,25 @@ impl EngineCore {
         // Random loss injection. `Engine` links share this core's stream;
         // `PerLink` links (WAN long-hauls) each consume their own `(seed, link)`
         // stream so the draw sequence is invariant under the shard count.
-        let loss = self.network.link(next_link).loss_rate;
+        let link = network.link_mut(next_link);
+        let loss = link.loss_rate;
         if loss > 0.0 {
-            let drop = match self.network.link(next_link).loss_stream {
-                LossStream::Engine => self.rng.gen::<f64>() < loss,
+            let drop = match link.loss_stream {
+                LossStream::Engine => rng.gen::<f64>() < loss,
                 LossStream::PerLink => {
-                    let seed = self.config.seed;
-                    self.link_loss_rngs[next_link.index()]
+                    let seed = config.seed;
+                    link_loss_rngs[next_link.index()]
                         .get_or_insert_with(|| link_loss_rng(seed, next_link))
                         .gen::<f64>()
                         < loss
                 }
             };
             if drop {
-                let l = self.network.link_mut(next_link);
-                l.stats.random_drops += 1;
-                if let Some(state) = self.flows.get_mut(flow_slot) {
+                link.stats.random_drops += 1;
+                if let Some(state) = flows.get_mut(flow_slot) {
                     state.record.drops += 1;
                 }
+                pool.free(slot);
                 return;
             }
         }
@@ -846,23 +911,21 @@ impl EngineCore {
         // stamped as created at the departure: same-instant arrivals then order as if
         // scheduled when the packet left the link.
         let wire = packet.wire_size as u64;
-        let link = self.network.link_mut(next_link);
-        link.retire(self.pos);
+        link.retire(*pos);
         if link.queue_bytes + wire > link.queue_capacity_bytes {
             link.stats.tail_drops += 1;
-            if let Some(state) = self.flows.get_mut(flow_slot) {
+            if let Some(state) = flows.get_mut(flow_slot) {
                 state.record.drops += 1;
             }
+            pool.free(slot);
             return;
         }
-        let depart = link.enqueue(self.now, wire);
-        let arrive_at = depart + link.prop_delay + self.config.processing_delay;
+        let depart = link.enqueue(*now, wire);
+        let arrive_at = depart + link.prop_delay + config.processing_delay;
         let dst = link.dst;
         packet.hop += 1;
+        let (flow, tie) = (packet.flow, packet_tie(packet));
         if self.is_local(dst) {
-            let flow = packet.flow;
-            let tie = packet_tie(&packet);
-            let slot = self.pool.park(packet);
             self.events.schedule_created(
                 arrive_at,
                 depart,
@@ -875,7 +938,9 @@ impl EngineCore {
             );
         } else {
             // Boundary crossing: `arrive_at` is at least one lookahead past `now`, so
-            // it lies at or past the receiver's next barrier.
+            // it lies at or past the receiver's next barrier. The packet leaves this
+            // engine's pool.
+            let packet = self.pool.take(slot).expect("packet is in the pool");
             let to = self.shard_of[dst.index()];
             self.push_msg(
                 to,
@@ -900,11 +965,16 @@ impl EngineCore {
             None => return,
         }
         let actions = {
-            let Self { agents, flows, .. } = self;
+            let Self {
+                agents,
+                flows,
+                actions,
+                ..
+            } = self;
             let Some(agent) = agents[node.index()].as_mut() else {
                 return;
             };
-            let mut ctx = Ctx::new(self.now, flows);
+            let mut ctx = Ctx::with_actions(self.now, flows, std::mem::take(actions));
             agent.on_timer(flow, kind, token, &mut ctx);
             ctx.take_actions()
         };
@@ -1020,8 +1090,11 @@ impl EngineCore {
 
     // ------------------------------------------------------------------ actions
 
-    pub(crate) fn apply_actions(&mut self, actions: Vec<Action>) {
-        for a in actions {
+    /// Apply the actions an agent callback queued, then keep the drained buffer for
+    /// the next callback. Applying an action never calls an agent, so the buffer is
+    /// always back in place before the next `Ctx` needs it.
+    fn apply_actions(&mut self, mut actions: Vec<Action>) {
+        for a in actions.drain(..) {
             match a {
                 Action::Send(mut packet) => {
                     // The packet leaves the host that generated it: the flow source for
@@ -1042,7 +1115,8 @@ impl EngineCore {
                         info.spec.src
                     };
                     if self.is_local(origin) {
-                        self.forward_packet(origin, packet);
+                        let slot = self.pool.park(packet);
+                        self.forward_packet(origin, slot);
                     } else {
                         // An agent on this shard emitted a packet that enters the
                         // network on a host owned by another shard; hand it over
@@ -1108,6 +1182,7 @@ impl EngineCore {
                 }
             }
         }
+        self.actions = actions;
     }
 
     /// Record a flow completion/termination (first action wins) and settle the

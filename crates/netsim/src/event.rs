@@ -43,10 +43,12 @@
 //!
 //! A bucket is sorted **lazily**, by the full deterministic key, only when it becomes
 //! the *current* bucket; popped events then stream out of a sorted run with no
-//! per-event comparisons. Same-bucket events scheduled while the bucket is draining
-//! (same-instant timers, forwarding chains) are placed by binary search into the
-//! not-yet-popped tail of the run. Amortized push/pop is `O(1)` for both wheels and
-//! `O(log n)` only for the residual heap.
+//! per-event comparisons. The sort itself allocates nothing: it sorts a reused
+//! scratch of `(at, index)` pairs, orders runs of equal `at` by the full key, and
+//! then permutes the events in place. Same-bucket events
+//! scheduled while the bucket is draining (same-instant timers, forwarding chains)
+//! are placed by binary search into the not-yet-popped tail of the run. Amortized
+//! push/pop is `O(1)` for both wheels and `O(log n)` only for the residual heap.
 //!
 //! # Why the total order survives the restructure
 //!
@@ -69,10 +71,10 @@
 //! # Why events are small
 //!
 //! [`EventKind`] never carries a large payload inline — a flow arrival boxes its
-//! `FlowSpec` (one allocation per *flow*) and an in-flight packet is parked in the
-//! engine's recycled packet pool and referenced by a [`PacketSlot`] (no allocation per
-//! *hop* in steady state). This keeps `size_of::<Event>()` at a few machine words, so
-//! bucket sorts and in-run insertions move little memory.
+//! `FlowSpec` (one allocation per *flow*) and a packet lives in the engine's recycled
+//! packet pool and is referenced by a [`PacketSlot`] (no allocation per *hop* in
+//! steady state). This keeps `size_of::<Event>()` at a few machine words, so the
+//! bucket sort's swaps and in-run insertions move little memory.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -97,10 +99,10 @@ pub enum TimerKind {
     Custom(u8),
 }
 
-/// A handle to an in-flight packet parked in the engine's packet pool from the moment
-/// a link accepts it until it reaches the next node (queueing, serialization,
-/// propagation and processing). Pool slots are recycled, so packet hops allocate
-/// nothing in steady state; the slot is only meaningful to the engine that issued it.
+/// A handle to a packet in the engine's packet pool, where it stays from the moment the
+/// engine accepts it until it is delivered, dropped or handed to another shard, hop
+/// after hop. Pool slots are recycled, so packet hops allocate nothing in steady
+/// state; the slot is only meaningful to the engine that issued it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PacketSlot(pub u32);
 
@@ -322,9 +324,13 @@ impl PartialOrd for Event {
 }
 impl Ord for Event {
     /// Natural ascending key order: the minimum fires first. (Min-heap users must
-    /// wrap events in [`std::cmp::Reverse`]; the queue's residual heap does.)
+    /// wrap events in [`std::cmp::Reverse`]; the queue's residual heap does.) The
+    /// `(at, created)` prefix decides almost every comparison, so the class and
+    /// content parts of the key are only computed when it ties.
     fn cmp(&self, other: &Self) -> Ordering {
-        self.key().cmp(&other.key())
+        (self.at, self.created)
+            .cmp(&(other.at, other.created))
+            .then_with(|| self.key().cmp(&other.key()))
     }
 }
 
@@ -489,6 +495,8 @@ pub struct EventQueue {
     /// Capacity recycled from the last spilled coarse block, handed to the next coarse
     /// slot that fills up.
     spare: Vec<Event>,
+    /// Scratch for [`EventQueue::sort_current`], kept so bucket sorts never allocate.
+    sort_keys: Vec<(u64, u32)>,
     /// Residual tier: events beyond the coarse horizon, min-first.
     heap: BinaryHeap<Reverse<Event>>,
     /// Bucket width in nanoseconds (≥ 1).
@@ -531,6 +539,7 @@ impl EventQueue {
             coarse: Ring::new(),
             coarse_min: vec![SimTime::ZERO; WHEEL_SLOTS],
             spare: Vec::new(),
+            sort_keys: Vec::new(),
             heap: BinaryHeap::new(),
             bucket_ns: width.as_nanos().max(1),
             len: 0,
@@ -607,8 +616,7 @@ impl EventQueue {
             // holds the strictly larger keys. An event behind the current bucket
             // (e.g. a cross-shard timer clamped to `now`) lands at the very end —
             // popped next, exactly as a heap would order it.
-            let key = ev.key();
-            let idx = self.current.partition_point(|e| e.key() > key);
+            let idx = self.current.partition_point(|e| *e > ev);
             self.current.insert(idx, ev);
         } else if b - self.cursor <= RING {
             self.fine.push(b, ev);
@@ -689,11 +697,7 @@ impl EventQueue {
                 Next::Bucket(b) => {
                     self.set_cursor(b);
                     self.fine.take(b, &mut self.current);
-                    // Lazy in-bucket sort: descending, so pops come off the tail. Keys
-                    // are unique (seq fallback), so stability is irrelevant; caching
-                    // the 41-byte keys beats recomputing the content key O(k log k)
-                    // times.
-                    self.current.sort_by_cached_key(|e| Reverse(e.key()));
+                    self.sort_current();
                     self.stats.buckets_sorted += 1;
                     return true;
                 }
@@ -706,6 +710,56 @@ impl EventQueue {
                     self.set_cursor((block - 1) * RING - 1);
                 }
                 Next::Empty => return false,
+            }
+        }
+    }
+
+    /// The lazy in-bucket sort: order `current` descending by the full key, so pops
+    /// come off the tail. It sorts the reusable `sort_keys` scratch of
+    /// `(!at, index)` pairs, 16-byte primitives the standard sort handles without a
+    /// comparator call, rather than the 56-byte events; only runs of events with
+    /// equal `at` (same-instant ties, a small share of a bucket) are then ordered by
+    /// the full key. Each event then moves to its place by following the
+    /// permutation's cycles with swaps. Keys are unique (seq fallback), so unstable
+    /// sorts are deterministic, and nothing here allocates once the scratch has grown
+    /// to the largest bucket. (Sorting `(at, created)` packed into a `u128` instead,
+    /// 32 bytes a pair through a comparator closure, drew about twice the profile
+    /// samples on engine_scale Large.)
+    fn sort_current(&mut self) {
+        let events = &mut self.current;
+        let keys = &mut self.sort_keys;
+        keys.clear();
+        // `!at` sorts the latest event first, as `current` is ordered.
+        keys.extend(
+            events
+                .iter()
+                .enumerate()
+                .map(|(i, e)| (!e.at.as_nanos(), i as u32)),
+        );
+        keys.sort_unstable();
+        // Runs of equal `at` are ordered by the rest of the key.
+        let mut start = 0;
+        while start < keys.len() {
+            let at = keys[start].0;
+            let end = start + keys[start..].iter().take_while(|k| k.0 == at).count();
+            if end - start > 1 {
+                keys[start..end]
+                    .sort_unstable_by(|a, b| events[b.1 as usize].cmp(&events[a.1 as usize]));
+            }
+            start = end;
+        }
+        // Position `i` must receive the event now at `keys[i].1`. Each visited entry
+        // is marked done by pointing it at itself.
+        for i in 0..keys.len() {
+            let mut to = i;
+            loop {
+                let from = keys[to].1 as usize;
+                keys[to].1 = to as u32;
+                if from == i {
+                    break;
+                }
+                events.swap(to, from);
+                to = from;
             }
         }
     }
@@ -950,6 +1004,57 @@ mod tests {
             "Event grew to {} bytes",
             std::mem::size_of::<Event>()
         );
+    }
+
+    #[test]
+    fn bucket_sort_breaks_time_ties_by_the_full_key() {
+        // The bucket sort orders `(at, index)` pairs and consults the full key only
+        // where `at` ties. Pile every class, many contents and exact content
+        // duplicates (told apart by seq alone) onto one instant and two creation
+        // times in one bucket, scheduled in a scrambled order: pops must follow
+        // `key()`.
+        let at = SimTime::from_micros(100);
+        let created = [SimTime::from_micros(40), SimTime::from_micros(60)];
+        let mut q = EventQueue::new();
+        let mut scheduled = Vec::new();
+        for i in 0..240u64 {
+            let j = (i * 97) % 240; // scrambles insertion order
+            let kind = match j % 6 {
+                0 => timer(j % 5),
+                1 => EventKind::PacketAtNode {
+                    node: NodeId((j % 3) as u32),
+                    packet: PacketSlot(j as u32),
+                    flow: FlowId(j % 4),
+                    tie: j % 7,
+                },
+                2 => EventKind::ControllerTick {
+                    link: LinkId((j % 3) as u32),
+                },
+                3 => {
+                    EventKind::FlowArrival(Box::new(FlowSpec::new(j % 3, NodeId(0), NodeId(1), 1)))
+                }
+                4 => EventKind::TraceSample,
+                _ => EventKind::Stop,
+            };
+            let created = created[(j % 2) as usize];
+            scheduled.push(Event {
+                at,
+                created,
+                seq: i,
+                kind: kind.clone(),
+            });
+            q.schedule_created(at, created, kind);
+        }
+        let bucket = q.bucket_of(&scheduled[0]);
+        assert!(
+            bucket > q.cursor,
+            "events must wait in the fine ring to be bucket-sorted"
+        );
+        scheduled.sort_by_key(Event::key);
+        let popped: Vec<Event> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(q.stats().buckets_sorted, 1);
+        let keys = |evs: &[Event]| evs.iter().map(Event::key).collect::<Vec<_>>();
+        assert_eq!(keys(&popped), keys(&scheduled));
     }
 
     #[test]

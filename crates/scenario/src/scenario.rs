@@ -274,6 +274,7 @@ impl Scenario {
                 })?;
         }
         self.topology.validate().map_err(ScenarioError::Spec)?;
+        self.workload.validate().map_err(ScenarioError::Spec)?;
         let mut topo = self.topology.build();
         if let Some(bytes) = self.queue_capacity {
             for link in &mut topo.net.links {
@@ -941,10 +942,9 @@ mod tests {
         assert!(TopologySpec::parse("wan:4:2:60:1:loss=0.999").is_ok());
     }
 
-    #[test]
-    fn run_rejects_an_out_of_range_wan_built_in_code() {
-        // Scenarios built in code skip the parser; `run` must still return an error
-        // rather than let the topology constructor panic.
+    /// A registry whose only protocol, `idle`, installs nothing: for runs that must
+    /// fail validation before any simulation starts.
+    fn idle_registry() -> ProtocolRegistry {
         use pdq_netsim::Simulator;
         use std::sync::Arc;
 
@@ -960,6 +960,13 @@ mod tests {
         }
         let mut registry = ProtocolRegistry::new();
         registry.register_instance(Arc::new(Idle));
+        registry
+    }
+
+    #[test]
+    fn run_rejects_an_out_of_range_wan_built_in_code() {
+        // Scenarios built in code skip the parser; `run` must still return an error
+        // rather than let the topology constructor panic.
         let err = Scenario::new("a")
             .protocol("idle")
             .topology(TopologySpec::Wan {
@@ -969,9 +976,89 @@ mod tests {
                 gbps: 1.0,
                 loss_rate: 0.0,
             })
-            .run(&registry)
+            .run(&idle_registry())
             .unwrap_err();
         assert!(matches!(err, ScenarioError::Spec(_)), "{err}");
+    }
+
+    #[test]
+    fn topology_spec_rejects_fewer_than_two_hosts() {
+        // `fat_tree:0` and `jellyfish:0:1` used to build (and run) the smallest
+        // topology of their kind without a word.
+        for token in [
+            "fat_tree:0",
+            "fat_tree:1",
+            "jellyfish:0:1",
+            "bcube_hosts:1:2",
+        ] {
+            let err = topology_spec_error(token);
+            assert!(err.contains("at least 2 hosts"), "{token}: {err}");
+        }
+        assert!(TopologySpec::parse("fat_tree:2").is_ok());
+        assert!(TopologySpec::parse("jellyfish:2:1").is_ok());
+    }
+
+    #[test]
+    fn topology_spec_rejects_more_than_max_hosts() {
+        // Each of these used to try to allocate the whole topology (and abort under a
+        // memory cap) or overflow its size arithmetic.
+        for token in [
+            "bcube:2:40",
+            "bcube:2:18446744073709551615",
+            "bcube:65536:1",
+            "bcube_hosts:16:100000000",
+            "fat_tree:100000000",
+            "fat_tree:18446744073709551615",
+            "fat_tree:65537",
+            "jellyfish:65537:1",
+            "single_bottleneck:65536",
+            "wan:8:100000:60:1",
+        ] {
+            let err = topology_spec_error(token);
+            assert!(err.contains("larger than"), "{token}: {err}");
+        }
+        // The cap itself is allowed: a k = 64 fat-tree has exactly that many hosts.
+        let k64 = TopologySpec::parse("fat_tree:65536").unwrap();
+        assert_eq!(k64.host_count(), Some(TopologySpec::MAX_HOSTS));
+    }
+
+    #[test]
+    fn run_rejects_workloads_without_flows_or_bytes() {
+        let err = |workload: WorkloadSpec| {
+            let err = Scenario::new("a")
+                .protocol("idle")
+                .workload(workload)
+                .run(&idle_registry())
+                .unwrap_err();
+            assert!(matches!(err, ScenarioError::Spec(_)), "{err}");
+            err.to_string()
+        };
+        let query = |flows: usize, sizes: SizeDist| WorkloadSpec::QueryAggregation {
+            flows,
+            sizes,
+            deadlines: DeadlineDist::None,
+        };
+        assert!(err(query(0, SizeDist::Fixed(20_000))).contains("workload.flows"));
+        for sizes in [
+            SizeDist::Fixed(0),
+            SizeDist::Uniform { min: 0, max: 10 },
+            SizeDist::Uniform { min: 10, max: 5 },
+            SizeDist::UniformMean(1),
+            SizeDist::UniformMean(u64::MAX),
+            SizeDist::Pareto {
+                mean: 1_000,
+                alpha: 1.0,
+            },
+        ] {
+            let text = sizes.to_string();
+            assert!(err(query(4, sizes)).contains("size distribution"), "{text}");
+        }
+        let pairs = WorkloadSpec::RandomPairs {
+            flows: 0,
+            spread: SimTime::from_millis(1),
+            sizes: SizeDist::Fixed(1_000),
+        };
+        assert!(err(pairs).contains("workload.flows"));
     }
 
     #[test]

@@ -8,9 +8,9 @@
 
 use pdq_netsim::{CoflowId, CoflowTag, FlowSpec, LinkParams, NodeId, SimTime};
 use pdq_topology::{
-    bcube::{bcube, bcube_with_at_least},
-    fattree::fat_tree_with_at_least,
-    jellyfish::jellyfish_paper_config,
+    bcube::{bcube, bcube_levels_for, bcube_servers, bcube_with_at_least},
+    fattree::{fat_tree_degree_for, fat_tree_with_at_least},
+    jellyfish::{jellyfish_paper_config, paper_config_hosts as jellyfish_paper_config_hosts},
     single::{default_paper_tree, single_bottleneck, single_bottleneck_with_access_loss},
     wan::{wan, WanParams},
     Topology,
@@ -23,6 +23,9 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::kv::{Kv, Writer};
+
+/// Hosts in the paper's default tree ([`TopologySpec::PaperTree`], Figure 2a).
+const PAPER_TREE_HOSTS: usize = 12;
 
 /// A buildable topology. All variants use default (paper) link parameters; the only
 /// link-level variation the figures need — access-link loss — is part of
@@ -120,10 +123,40 @@ impl TopologySpec {
         }
     }
 
+    /// The largest topology a spec may build, in hosts: a k = 64 fat-tree, 64× the
+    /// largest committed scenario (engine_scale Huge, 1024 hosts). A mistyped size
+    /// then fails validation at once instead of trying to allocate the topology.
+    pub const MAX_HOSTS: usize = 65_536;
+
+    /// The number of hosts [`TopologySpec::build`] makes, computed from the
+    /// parameters alone; `None` if it overflows `usize` or no topology fits (a
+    /// BCube with fewer than 2 switch ports).
+    pub fn host_count(&self) -> Option<usize> {
+        match *self {
+            TopologySpec::PaperTree => Some(PAPER_TREE_HOSTS),
+            TopologySpec::SingleBottleneck { senders, .. } => senders.checked_add(1),
+            TopologySpec::FatTree { hosts } => fat_tree_degree_for(hosts)
+                .and_then(|k| k.checked_pow(3))
+                .map(|c| c / 4),
+            TopologySpec::BCube { n, k } => bcube_servers(n, k),
+            TopologySpec::BCubeHosts { hosts, n } => {
+                bcube_levels_for(hosts, n).and_then(|k| bcube_servers(n, k))
+            }
+            TopologySpec::Jellyfish { hosts, .. } => jellyfish_paper_config_hosts(hosts),
+            TopologySpec::Wan {
+                sites,
+                hosts_per_site,
+                ..
+            } => sites.checked_mul(hosts_per_site),
+        }
+    }
+
     /// Check the parameters against their documented ranges, so that a bad spec is
     /// an error instead of a panic (or a hang) in [`TopologySpec::build`]: BCube
     /// switches need at least 2 ports, a single bottleneck needs a sender and an
-    /// access loss rate in [0, 1), and a WAN must pass [`WanParams::validate`].
+    /// access loss rate in [0, 1), a WAN must pass [`WanParams::validate`], a
+    /// requested host count must be at least 2, and the built topology may have at
+    /// most [`TopologySpec::MAX_HOSTS`] hosts.
     pub fn validate(&self) -> Result<(), String> {
         match *self {
             TopologySpec::SingleBottleneck {
@@ -138,11 +171,19 @@ impl TopologySpec {
                         "access loss rate must be in [0, 1), got {access_loss}"
                     ));
                 }
-                Ok(())
             }
-            TopologySpec::BCube { n, .. } | TopologySpec::BCubeHosts { n, .. } if n < 2 => Err(
-                format!("BCube switch port count must be at least 2, got {n}"),
-            ),
+            TopologySpec::BCube { n, .. } | TopologySpec::BCubeHosts { n, .. } if n < 2 => {
+                return Err(format!(
+                    "BCube switch port count must be at least 2, got {n}"
+                ))
+            }
+            TopologySpec::FatTree { hosts }
+            | TopologySpec::BCubeHosts { hosts, .. }
+            | TopologySpec::Jellyfish { hosts, .. }
+                if hosts < 2 =>
+            {
+                return Err(format!("a topology needs at least 2 hosts, got {hosts}"))
+            }
             TopologySpec::Wan {
                 sites,
                 hosts_per_site,
@@ -156,8 +197,15 @@ impl TopologySpec {
                 gbps,
                 loss_rate,
             }
-            .validate(),
-            _ => Ok(()),
+            .validate()?,
+            _ => {}
+        }
+        match self.host_count() {
+            Some(hosts) if hosts <= Self::MAX_HOSTS => Ok(()),
+            _ => Err(format!(
+                "topology is larger than the {} hosts a spec may build",
+                Self::MAX_HOSTS
+            )),
         }
     }
 
@@ -413,7 +461,7 @@ impl WorkloadSpec {
                     .enumerate()
                     .map(|(i, (src, dst))| {
                         let mut spec =
-                            FlowSpec::new(i as u64 + 1, src, dst, sizes.sample(&mut rng).max(1));
+                            FlowSpec::new(i as u64 + 1, src, dst, sizes.sample(&mut rng));
                         if let Some(d) = deadlines.sample(&mut rng) {
                             spec = spec.with_deadline(d);
                         }
@@ -436,7 +484,7 @@ impl WorkloadSpec {
                     }
                     let at = SimTime::from_nanos(rng.gen_range(0..=spread.as_nanos()));
                     out.push(
-                        FlowSpec::new(i as u64 + 1, src, dst, sizes.sample(&mut rng).max(1))
+                        FlowSpec::new(i as u64 + 1, src, dst, sizes.sample(&mut rng))
                             .with_arrival(at),
                     );
                 }
@@ -460,6 +508,42 @@ impl WorkloadSpec {
             }
             WorkloadSpec::Manual(flows) => flows.clone(),
         }
+    }
+
+    /// Check that the workload generates flows and that its size distribution passes
+    /// [`SizeDist::validate`]: a flow count, flows per pair, coflow count or coflow
+    /// width of zero is an error rather than a run that silently does nothing.
+    /// Manual flow lists are taken as given.
+    pub fn validate(&self) -> Result<(), String> {
+        let zero = |n: usize, key: &'static str| (n == 0).then_some(key);
+        let (sizes, empty) = match self {
+            WorkloadSpec::QueryAggregation { flows, sizes, .. }
+            | WorkloadSpec::RandomPairs { flows, sizes, .. } => {
+                (sizes, zero(*flows, "workload.flows"))
+            }
+            WorkloadSpec::Pattern {
+                flows_per_pair,
+                sizes,
+                ..
+            } => (sizes, zero(*flows_per_pair, "workload.flows_per_pair")),
+            WorkloadSpec::Coflow {
+                coflows,
+                width,
+                sizes,
+                ..
+            } => (
+                sizes,
+                zero(*coflows, "workload.coflows").or(zero(*width, "workload.width")),
+            ),
+            WorkloadSpec::Poisson { sizes, .. } | WorkloadSpec::PermutationAtLoad { sizes, .. } => {
+                (sizes, None)
+            }
+            WorkloadSpec::Manual(_) => return Ok(()),
+        };
+        if let Some(key) = empty {
+            return Err(format!("{key} must be at least 1"));
+        }
+        sizes.validate()
     }
 
     /// The workload with its flow-size distribution replaced — the flow-size sweep
@@ -805,6 +889,28 @@ mod tests {
         .build();
         assert_eq!(wan.host_count(), 6);
         assert!(wan.net.links.iter().any(|l| l.loss_rate == 0.001));
+    }
+
+    #[test]
+    fn host_count_matches_the_built_topology() {
+        // `validate` bounds topologies by `host_count` without building them, so the
+        // count must be exactly what `build` makes, rounding-up variants included.
+        for token in [
+            "paper_tree",
+            "single_bottleneck:5",
+            "fat_tree:17",
+            "bcube:3:1",
+            "bcube_hosts:10:3",
+            "jellyfish:100:1",
+            "wan:3:2:60:1",
+        ] {
+            let spec = TopologySpec::parse(token).unwrap();
+            assert_eq!(
+                spec.host_count(),
+                Some(spec.build().host_count()),
+                "{token}"
+            );
+        }
     }
 
     #[test]

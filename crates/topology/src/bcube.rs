@@ -22,7 +22,8 @@ use crate::Topology;
 pub fn bcube(n: usize, k: usize, link: LinkParams) -> Topology {
     assert!(n >= 2, "BCube switch port count must be >= 2");
     let levels = k + 1;
-    let n_servers = n.pow(levels as u32);
+    let n_servers = bcube_servers(n, k).expect("BCube server count overflows usize");
+    // n^k < n^(k+1), which fits, and so do the digit powers `remove_digit` takes.
     let switches_per_level = n.pow(k as u32);
 
     let mut net = Network::new();
@@ -71,13 +72,29 @@ fn remove_digit(value: usize, pos: usize, n: usize) -> usize {
     high * n.pow(pos as u32) + low
 }
 
+/// The server count `n^(k+1)` of `BCube(n, k)`, or `None` if it overflows `usize`.
+pub fn bcube_servers(n: usize, k: usize) -> Option<usize> {
+    n.checked_pow(u32::try_from(k.checked_add(1)?).ok()?)
+}
+
+/// The level parameter `k` of the smallest `BCube(n, k)` with at least `n_hosts`
+/// servers, or `None` if `n < 2` (no level count suffices) or that BCube's server
+/// count overflows `usize`.
+pub fn bcube_levels_for(n_hosts: usize, n: usize) -> Option<usize> {
+    if n < 2 {
+        return None;
+    }
+    let mut k = 0usize;
+    while bcube_servers(n, k)? < n_hosts {
+        k += 1;
+    }
+    Some(k)
+}
+
 /// The smallest `BCube(n, k)` with `n`-port switches whose server count is at least
 /// `n_hosts`, increasing the number of levels.
 pub fn bcube_with_at_least(n_hosts: usize, n: usize, link: LinkParams) -> Topology {
-    let mut k = 0usize;
-    while n.pow(k as u32 + 1) < n_hosts {
-        k += 1;
-    }
+    let k = bcube_levels_for(n_hosts, n).expect("no BCube of this size fits in usize");
     bcube(n, k, link)
 }
 

@@ -77,11 +77,18 @@ pub fn fat_tree(k: usize, link: LinkParams) -> Topology {
 /// The smallest fat-tree whose host count is at least `n_hosts`.
 /// Returns the topology; its actual host count is `k^3/4` for the chosen even `k`.
 pub fn fat_tree_with_at_least(n_hosts: usize, link: LinkParams) -> Topology {
-    let mut k = 2;
-    while k * k * k / 4 < n_hosts {
+    let k = fat_tree_degree_for(n_hosts).expect("no fat-tree of this size fits in usize");
+    fat_tree(k, link)
+}
+
+/// The degree `k` of the smallest fat-tree with at least `n_hosts` hosts (it has
+/// `k^3/4`), or `None` if that host count overflows `usize`.
+pub fn fat_tree_degree_for(n_hosts: usize) -> Option<usize> {
+    let mut k = 2usize;
+    while k.checked_pow(3)? / 4 < n_hosts {
         k += 2;
     }
-    fat_tree(k, link)
+    Some(k)
 }
 
 #[cfg(test)]

@@ -115,10 +115,28 @@ pub fn jellyfish(
 /// The paper's Figure 8d configuration scaled to at least `n_hosts` hosts: 24-port
 /// switches with a 2:1 network-to-server port ratio (16 network ports, 8 hosts each).
 pub fn jellyfish_paper_config(n_hosts: usize, seed: u64, link: LinkParams) -> Topology {
-    let servers_per_switch = 8;
-    let network_ports = 16;
-    let n_switches = n_hosts.div_ceil(servers_per_switch).max(network_ports + 1);
-    jellyfish(n_switches, network_ports, servers_per_switch, seed, link)
+    jellyfish(
+        paper_config_switches(n_hosts),
+        PAPER_NETWORK_PORTS,
+        PAPER_SERVERS_PER_SWITCH,
+        seed,
+        link,
+    )
+}
+
+const PAPER_SERVERS_PER_SWITCH: usize = 8;
+const PAPER_NETWORK_PORTS: usize = 16;
+
+fn paper_config_switches(n_hosts: usize) -> usize {
+    n_hosts
+        .div_ceil(PAPER_SERVERS_PER_SWITCH)
+        .max(PAPER_NETWORK_PORTS + 1)
+}
+
+/// The host count of [`jellyfish_paper_config`] for `n_hosts`, or `None` if it
+/// overflows `usize`.
+pub fn paper_config_hosts(n_hosts: usize) -> Option<usize> {
+    paper_config_switches(n_hosts).checked_mul(PAPER_SERVERS_PER_SWITCH)
 }
 
 #[cfg(test)]

@@ -138,7 +138,7 @@ pub fn coflow_set(
         let members: Vec<FlowSpec> = senders
             .iter()
             .map(|&src| {
-                let size = cfg.sizes.sample(rng).max(1);
+                let size = cfg.sizes.sample(rng);
                 let spec = FlowSpec::new(id, src, reducer, size);
                 id += 1;
                 spec

@@ -176,7 +176,7 @@ fn make_flow(
     arrival: SimTime,
     rng: &mut SmallRng,
 ) -> FlowSpec {
-    let size = sizes.sample(rng).max(1);
+    let size = sizes.sample(rng);
     let mut spec = FlowSpec::new(id, src, dst, size).with_arrival(arrival);
     if let Some(d) = deadlines.sample(rng) {
         spec = spec.with_deadline(arrival + d);

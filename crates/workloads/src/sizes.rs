@@ -73,6 +73,30 @@ impl SizeDist {
         ])
     }
 
+    /// Check that every draw is at least one byte and that sampling cannot panic:
+    /// `fixed` and `uniform` minimums of at least 1, `uniform_mean` of at least 2
+    /// (its draws start at half the mean) whose upper end `1.5 × mean` fits in a
+    /// `u64`, a `pareto` mean of at least 1 with a
+    /// finite tail index above 1, and an `empirical` CDF of at least two points of
+    /// at least one byte each. Generators draw sizes unclamped, so a distribution
+    /// that fails this must not reach them.
+    pub fn validate(&self) -> Result<(), String> {
+        let ok = match self {
+            SizeDist::Fixed(s) => *s >= 1,
+            SizeDist::Uniform { min, max } => 1 <= *min && min <= max,
+            SizeDist::UniformMean(mean) => *mean >= 2 && mean.checked_add(mean / 2).is_some(),
+            SizeDist::Pareto { mean, alpha } => *mean >= 1 && alpha.is_finite() && *alpha > 1.0,
+            SizeDist::Empirical(points) => points.len() >= 2 && points.iter().all(|&(b, _)| b >= 1),
+        };
+        if ok {
+            Ok(())
+        } else {
+            Err(format!(
+                "size distribution {self} can draw an empty or invalid flow size"
+            ))
+        }
+    }
+
     /// Draw one flow size.
     pub fn sample(&self, rng: &mut SmallRng) -> u64 {
         match self {
